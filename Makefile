@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke experiments
+.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke bench-ec bench-ec-smoke experiments
 
 all: check
 
@@ -120,7 +120,21 @@ bench-delta:
 bench-delta-smoke:
 	$(GO) test -short -run xxx -bench DeltaRequery -benchtime 1x .
 
-check: build vet test race race-faults lint docs-drift bench-obs-smoke bench-group-smoke bench-shard-smoke bench-delta-smoke
+# ec25519 per-primitive micro-benchmarks: the field kernels (invert,
+# sqrt-ratio), the point codec and map (MapToPoint, Decode, Encode),
+# the C_e scalar multiplication, and the three ECGroup entry points the
+# protocols call per element — each with allocs/op.  psibench's
+# isect_ec_pipe is the end-to-end view of the same constants.
+EC_BENCH = 'Fe(Invert|SqrtRatio)|MapToPoint|Decode|Encode|ScalarMult|EC(Apply|Contains|MapToElement)'
+
+bench-ec:
+	$(GO) test -run xxx -bench $(EC_BENCH) -benchmem ./internal/ec25519 ./internal/group
+
+# One iteration of each, so CI compiles and runs them.
+bench-ec-smoke:
+	$(GO) test -run xxx -bench $(EC_BENCH) -benchtime 1x ./internal/ec25519 ./internal/group
+
+check: build vet test race race-faults lint docs-drift bench-obs-smoke bench-group-smoke bench-shard-smoke bench-delta-smoke bench-ec-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

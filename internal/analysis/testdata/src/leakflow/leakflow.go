@@ -58,6 +58,18 @@ func spill(ctx context.Context, v *vault, conn transport.Conn) {
 	_ = conn.Send(ctx, v.exp.Bytes()) // want `leakflow: unsanitized flow of a raw key exponent \(commutative.Key.Exponent\) into transport Send`
 }
 
+// store is a setter: the secret reaches the field only through the
+// helper's parameter, so the field relation must come from store's
+// summary applied at the call site, not from a source inside it.
+func store(v *vault, x *big.Int) {
+	v.exp = x
+}
+
+func setterLaunderedFieldLeak(ctx context.Context, v *vault, k *commutative.Key, conn transport.Conn) {
+	store(v, k.Exponent())
+	_ = conn.Send(ctx, v.exp.Bytes()) // want `leakflow: unsanitized flow of a raw key exponent \(commutative.Key.Exponent\) into transport Send`
+}
+
 // fillHashed stores an oracle-hashed value instead: the hash is the
 // protocol's wire representation, so reading it back is clean.
 func fillHashed(v *vault, o *oracle.Oracle, payload []byte) {

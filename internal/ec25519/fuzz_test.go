@@ -12,7 +12,8 @@ import (
 // 32-byte encoding survives Decode → Encode byte-identically.  The
 // seeds cover the map's edge inputs — all-zero (Elligator maps r = 0 to
 // a fixed point), all-ones, a sign-flip pattern, and values near the
-// field modulus in either half of the input.
+// field modulus in either half of the input — plus every golden-vector
+// input, so the corpus starts from the bytes whose outputs are pinned.
 func FuzzMapToPointRoundTrip(f *testing.F) {
 	seed := func(fill byte, tweaks ...int) []byte {
 		b := make([]byte, HashLen)
@@ -39,6 +40,9 @@ func FuzzMapToPointRoundTrip(f *testing.F) {
 	// High bit set in the sign byte of each half.
 	f.Add(seed(0x01, 31))
 	f.Add(seed(0x80, 63))
+	for _, g := range goldenMap {
+		f.Add(unhex(f, g.uniform))
+	}
 
 	f.Fuzz(func(t *testing.T, uniform []byte) {
 		if len(uniform) != HashLen {
@@ -95,6 +99,38 @@ func FuzzDecodeNoPanic(f *testing.F) {
 		}
 		if re := pt.Encode(nil); !bytes.Equal(re, b) {
 			t.Fatalf("accepted encoding %x re-encodes to %x", b, re)
+		}
+	})
+}
+
+// FuzzFeInvert pins the inversion the whole per-element path leans on:
+// a·a⁻¹ = 1 for every a ≠ 0, and 0⁻¹ = 0 — the convention that lets
+// the Elligator map and feSqrtRatio divide without a branch.  The
+// input is five raw limbs, masked to the 2^52 bound the multiplication
+// accepts, so unreduced representations are exercised too.
+func FuzzFeInvert(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(2), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(mask51-18), uint64(mask51), uint64(mask51), uint64(mask51), uint64(mask51))   // p ≡ 0
+	f.Add(uint64(mask51-19), uint64(mask51), uint64(mask51), uint64(mask51), uint64(mask51))   // p-1
+	f.Add(uint64(1<<52-1), uint64(1<<52-1), uint64(1<<52-1), uint64(1<<52-1), uint64(1<<52-1)) // loosest
+	f.Add(sqrtM1Const.l0, sqrtM1Const.l1, sqrtM1Const.l2, sqrtM1Const.l3, sqrtM1Const.l4)
+
+	f.Fuzz(func(t *testing.T, l0, l1, l2, l3, l4 uint64) {
+		const m = 1<<52 - 1
+		a := fe{l0 & m, l1 & m, l2 & m, l3 & m, l4 & m}
+		var inv, prod fe
+		feInvert(&inv, &a)
+		if feIsZero(&a) {
+			if !feIsZero(&inv) {
+				t.Fatalf("0⁻¹ must be 0 (limbs %x)", a)
+			}
+			return
+		}
+		feMul(&prod, &a, &inv)
+		if !feEqual(&prod, &feOne) {
+			t.Fatalf("a·a⁻¹ ≠ 1 for limbs %x", a)
 		}
 	})
 }

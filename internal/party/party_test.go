@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"minshare/internal/core"
@@ -35,17 +36,36 @@ func testServer(policy Policy) *Server {
 // by srv on the other end.
 func pipeClient(t *testing.T, srv *Server) *Client {
 	t.Helper()
-	cfg := core.Config{Group: group.TestGroup()}
-	return NewClientConnFunc(cfg, func(ctx context.Context) (transport.Conn, error) {
+	return NewClientConnFunc(core.Config{Group: group.TestGroup()}, pipeDialer(t, srv))
+}
+
+// pipeDialer returns the dial function behind pipeClient.  A session
+// can outlive the test that dialled it — a standing query ends when the
+// test cancels its context on the way out — and t.Logf after the test
+// has completed panics, so server errors are logged only while the test
+// is still running.
+func pipeDialer(t *testing.T, srv *Server) func(context.Context) (transport.Conn, error) {
+	var mu sync.Mutex
+	finished := false
+	t.Cleanup(func() {
+		mu.Lock()
+		finished = true
+		mu.Unlock()
+	})
+	return func(ctx context.Context) (transport.Conn, error) {
 		cConn, sConn := transport.Pipe()
 		go func() {
 			defer sConn.Close()
 			if err := srv.HandleConn(ctx, "test-peer", sConn); err != nil {
-				t.Logf("server: %v", err)
+				mu.Lock()
+				defer mu.Unlock()
+				if !finished {
+					t.Logf("server: %v", err)
+				}
 			}
 		}()
 		return cConn, nil
-	})
+	}
 }
 
 func TestServerAnswersAllProtocols(t *testing.T) {

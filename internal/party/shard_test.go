@@ -8,23 +8,12 @@ import (
 
 	"minshare/internal/core"
 	"minshare/internal/group"
-	"minshare/internal/transport"
 )
 
 // shardedPipeClient is pipeClient with a shard-parallel receiver config.
 func shardedPipeClient(t *testing.T, srv *Server, shards int) *Client {
 	t.Helper()
-	cfg := core.Config{Group: group.TestGroup(), Shards: shards}
-	return NewClientConnFunc(cfg, func(ctx context.Context) (transport.Conn, error) {
-		cConn, sConn := transport.Pipe()
-		go func() {
-			defer sConn.Close()
-			if err := srv.HandleConn(ctx, "test-peer", sConn); err != nil {
-				t.Logf("server: %v", err)
-			}
-		}()
-		return cConn, nil
-	})
+	return NewClientConnFunc(core.Config{Group: group.TestGroup(), Shards: shards}, pipeDialer(t, srv))
 }
 
 func TestServerAdoptsShardedSessions(t *testing.T) {
