@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke bench-ec bench-ec-smoke experiments
+.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit loc check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke bench-ec bench-ec-smoke experiments
 
 all: check
 
@@ -133,6 +133,17 @@ bench-ec:
 # One iteration of each, so CI compiles and runs them.
 bench-ec-smoke:
 	$(GO) test -run xxx -bench $(EC_BENCH) -benchtime 1x ./internal/ec25519 ./internal/group
+
+# Code size: non-blank, non-comment, non-test Go lines per internal/*
+# package — the number behind the roadmap's "net-negative line count"
+# deliverable.  A simplification PR reports this before and after.
+loc:
+	@for d in internal/*/; do \
+		files=$$(ls $$d*.go 2>/dev/null | grep -v _test.go); \
+		if [ -n "$$files" ]; then \
+			printf '%6d  %s\n' "$$(cat $$files | grep -cvE '^\s*(//.*)?$$')" "$${d%/}"; \
+		fi; \
+	done
 
 check: build vet test race race-faults lint docs-drift bench-obs-smoke bench-group-smoke bench-shard-smoke bench-delta-smoke bench-ec-smoke
 

@@ -125,13 +125,15 @@ func TestIntegrationServerFromCSV(t *testing.T) {
 		t.Errorf("join size = %d, want 5", js.JoinSize)
 	}
 
-	// The audit trail recorded all four sessions.
-	if got := len(srv.Auditor.Trail()); got != 4 {
-		t.Errorf("audit trail has %d entries, want 4", got)
-	}
+	// The audit trail recorded all four sessions.  A session's entry is
+	// written after its last frame is out — after the client call has
+	// returned — so look once Serve has waited for its handlers.
 	cancel()
 	ln.Close()
 	<-done
+	if got := len(srv.Auditor.Trail()); got != 4 {
+		t.Errorf("audit trail has %d entries, want 4", got)
+	}
 }
 
 // TestIntegrationSQLAgainstPlaintext fuzzes the SQL executor against

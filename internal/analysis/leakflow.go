@@ -237,8 +237,7 @@ func leakDeclassified(f *types.Func) bool {
 		return true
 	}
 	if p, r, ok := recvNamed(f); ok && p == corePath {
-		switch r {
-		case "StandingIntersection", "StandingJoin":
+		if r == "StandingQuery" {
 			return true
 		}
 	}

@@ -113,9 +113,9 @@ func (c *CachedSet) ApplyDelta(ctx context.Context, s Scheme, ins, upd, del []*b
 		Updated: encUpd, UpdatedPayload: append([][]byte(nil), updPayload...),
 		Deleted: encDel,
 	}
-	sortAligned(delta.Inserted, delta.InsertedPayload)
-	sortAligned(delta.Updated, delta.UpdatedPayload)
-	sortAligned(delta.Deleted, nil)
+	SortAligned(delta.Inserted, delta.InsertedPayload)
+	SortAligned(delta.Updated, delta.UpdatedPayload)
+	SortAligned(delta.Deleted, nil)
 
 	// Resolve deletions and updates against the sorted vector.
 	removed := make(map[int]bool, len(delta.Deleted))
@@ -193,9 +193,9 @@ func (c *CachedSet) find(y *big.Int) (int, bool) {
 	return i, false
 }
 
-// sortAligned sorts elems ascending, permuting the aligned payload
-// vector (when present) identically.
-func sortAligned(elems []*big.Int, payload [][]byte) {
+// SortAligned sorts elems ascending in place, permuting the aligned
+// payload vector (when non-nil) identically.
+func SortAligned(elems []*big.Int, payload [][]byte) {
 	if payload == nil {
 		sort.Slice(elems, func(i, j int) bool { return elems[i].Cmp(elems[j]) < 0 })
 		return

@@ -64,6 +64,10 @@ type CacheEntry struct {
 	ExtKey *commutative.Key
 }
 
+// hasExt reports whether the entry has the equijoin shape: its set
+// carries the payload ciphertexts, derived under ExtKey.
+func (e *CacheEntry) hasExt() bool { return e.ExtKey != nil && e.Set.Payload() != nil }
+
 // memoryBytes is the entry's accounting size for the cache bound.
 func (e *CacheEntry) memoryBytes() int64 {
 	if e == nil || e.Set == nil {
@@ -262,55 +266,110 @@ func (s *session) cachePut(entry *CacheEntry) {
 	}
 }
 
-// ownEncryptedSet is the sender-side precomputation phase shared by the
-// intersection, intersection-size and equijoin-size protocols: hash the
-// own values, draw a fresh key, bulk-encrypt, and reorder
-// lexicographically — or, on a cache hit, replay all of it (key
-// included) from an earlier run against the same peer.  A miss
-// populates the slot, so the work is paid once per
-// (peer, table, version, protocol) series rather than once per session.
-// The returned vector is shared with the cache on the hit path; callers
-// must not mutate it.
-func (s *session) ownEncryptedSet(ctx context.Context, vs [][]byte) (*commutative.Key, []*big.Int, error) {
+// ownSet carries the sender prelude between its two halves: the keys —
+// all the equijoin's pair exchange needs — and either the complete
+// encrypted set (warm or delta-upgraded) or the hashed values still
+// awaiting ownSetBuild (cold).
+type ownSet struct {
+	key, extKey *commutative.Key
+	ent         *CacheEntry   // nil on the cold path until ownSetBuild
+	hashed      []*big.Int    // cold path: h(V_S)
+	spent       time.Duration // cold path: precomputation time so far
+}
+
+// ownSetKeys is the first half of the sender prelude every protocol
+// begins with, and has three outcomes.  Warm: the slot for this
+// (peer, table, version, protocol) holds the encrypted set from an
+// earlier run, which replays whole, pinned key(s) included.  Upgraded:
+// a stale entry plus a DeltaSource re-encrypts only the churn under the
+// pinned key.  Cold: hash V_S (with the §3.2.2 collision check) and draw
+// e_S — then e'_S when withExt — leaving the bulk encryption to
+// ownSetBuild.
+func (s *session) ownSetKeys(ctx context.Context, vs [][]byte, withExt bool) (*ownSet, error) {
 	var start time.Time
 	if s.lat != nil {
 		start = time.Now()
 	}
-	if ent, ok := s.cacheLookup(); ok {
+	ent, ok := s.cacheLookup()
+	if ok {
 		if s.lat != nil {
 			s.lat.Record(obs.LatCacheHit, time.Since(start))
 		}
-		return ent.Set.Key(), ent.Set.Elems(), nil
+	} else {
+		// upgradeCachedEntry records its own latency.
+		ent, ok = s.upgradeCachedEntry(ctx, len(vs), withExt)
 	}
-	// A stale entry for this slot plus a delta source turns the miss
-	// into an upgrade: re-encrypt only the churn under the pinned key.
-	if ent, ok := s.upgradeCachedEntry(ctx, len(vs), false); ok {
-		return ent.Set.Key(), ent.Set.Elems(), nil
+	if ok {
+		return &ownSet{key: ent.Set.Key(), extKey: ent.ExtKey, ent: ent}, nil
 	}
+
 	sp := obs.StartSpan(ctx, "hash-to-group")
 	xs, err := s.hashSet(vs)
 	sp.End()
 	if err != nil {
-		return nil, nil, s.abort(ctx, err)
+		return nil, s.abort(ctx, err)
 	}
-	k, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, nil, s.abort(ctx, fmt.Errorf("core: generating e_S: %w", err))
+	o := &ownSet{hashed: xs}
+	if o.key, err = s.cfg.Scheme.GenerateKey(s.cfg.Rand); err != nil {
+		return nil, s.abort(ctx, fmt.Errorf("core: generating e_S: %w", err))
 	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	ys, err := s.encryptSet(ctx, k, xs)
-	sp.End()
-	if err != nil {
-		return nil, nil, s.abort(ctx, err)
-	}
-	sorted := sortedCopy(ys)
-	if s.cfg.SetCache != nil {
-		if cs, err := commutative.CachedSetFromSorted(k, sorted, nil); err == nil {
-			s.cachePut(&CacheEntry{Set: cs})
+	if withExt {
+		if o.extKey, err = s.cfg.Scheme.GenerateKey(s.cfg.Rand); err != nil {
+			return nil, s.abort(ctx, fmt.Errorf("core: generating e'_S: %w", err))
 		}
 	}
 	if s.lat != nil {
-		s.lat.Record(obs.LatCacheMiss, time.Since(start))
+		o.spent = time.Since(start)
 	}
-	return k, sorted, nil
+	return o, nil
+}
+
+// ownSetBuild is the second half of the sender prelude: a no-op unless
+// the first half came out cold, in which case it bulk-encrypts h(V_S)
+// under e_S, reorders lexicographically — carrying along, for the
+// equijoin, the payload ciphertexts K(f_e'S(h(v)), ext(v)) built from
+// exts (aligned with the values given to ownSetKeys) — and populates
+// the cache slot, so the work is paid once per series rather than once
+// per session.  The returned entry is shared with the cache; callers
+// must not mutate its vectors.
+func (s *session) ownSetBuild(ctx context.Context, o *ownSet, exts [][]byte) (*CacheEntry, error) {
+	if o.ent != nil {
+		return o.ent, nil
+	}
+	var start time.Time
+	if s.lat != nil {
+		start = time.Now()
+	}
+	sp := obs.StartSpan(ctx, "bulk-encrypt")
+	firsts, err := s.encryptSet(ctx, o.key, o.hashed)
+	var kappas []*big.Int
+	if err == nil && o.extKey != nil {
+		kappas, err = s.encryptSet(ctx, o.extKey, o.hashed)
+	}
+	sp.End()
+	if err != nil {
+		return nil, s.abort(ctx, err)
+	}
+	var cts [][]byte
+	if o.extKey != nil {
+		sp = obs.StartSpan(ctx, "payload-encrypt")
+		cts, err = s.encryptPayloads(kappas, exts)
+		sp.End()
+		if err != nil {
+			return nil, s.abort(ctx, err)
+		}
+	}
+	commutative.SortAligned(firsts, cts)
+	cs, err := commutative.CachedSetFromSorted(o.key, firsts, cts)
+	if err != nil {
+		return nil, s.abort(ctx, err)
+	}
+	o.ent = &CacheEntry{Set: cs, ExtKey: o.extKey}
+	s.cachePut(o.ent)
+	if s.lat != nil {
+		// The exchange an equijoin runs between the two halves is not the
+		// cache's to answer for, so it stays out of the histogram.
+		s.lat.Record(obs.LatCacheMiss, o.spent+time.Since(start))
+	}
+	return o.ent, nil
 }

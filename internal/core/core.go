@@ -15,6 +15,20 @@
 // in two goroutines over a transport.Pipe, or in two processes over TCP —
 // executes the protocol.
 //
+// # Structure
+//
+// The paper defines the protocols as small deltas of one another, and
+// the package is one engine written the same way (engine.go): a single
+// receiver body and a single sender body consult a protocol descriptor
+// — wire protocol, reply aligned or re-sorted, ext payloads or not —
+// where the protocols differ, and each protocol's own file holds only
+// its result type, its input preparation and its match rule.  The
+// execution modes are orthogonal to the protocols and each exists once:
+// legacy or chunked vectors (stream.go), a cold, cache-warm or
+// delta-upgraded sender prelude (cache.go, delta.go), shard-parallel
+// execution of any role (shard.go), and the standing-query envelope
+// around the intersection and the equijoin (standing.go).
+//
 // # Inputs
 //
 // Values are opaque byte strings.  The set protocols (intersection,
@@ -35,7 +49,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -243,15 +256,10 @@ func (s *session) send(ctx context.Context, m wire.Message) error {
 	return nil
 }
 
-// recv receives one message and checks its kind.  A wire.ErrorMsg from
-// the peer is converted into ErrPeerFailure.
-func (s *session) recv(ctx context.Context, want wire.Kind) (wire.Message, error) {
-	return s.recvAny(ctx, want)
-}
-
-// recvAny receives one message whose kind must be among want.  The
-// streamed receive paths use it to accept either a legacy one-shot
-// vector or the opening of a stream.
+// recvAny receives one message whose kind must be among want (several
+// where a vector may arrive as a legacy one-shot frame or as the opening
+// of a stream).  A wire.ErrorMsg from the peer is converted into
+// ErrPeerFailure.
 func (s *session) recvAny(ctx context.Context, want ...wire.Kind) (wire.Message, error) {
 	var start time.Time
 	if s.lat != nil {
@@ -334,14 +342,14 @@ func (s *session) handshake(ctx context.Context, proto wire.Protocol, mySize int
 		if err := s.send(ctx, my); err != nil {
 			return 0, err
 		}
-		m, err := s.recv(ctx, wire.KindHeader)
+		m, err := s.recvAny(ctx, wire.KindHeader)
 		if err != nil {
 			return 0, err
 		}
 		peer = m.(wire.Header)
 		adopt(peer)
 	} else {
-		m, err := s.recv(ctx, wire.KindHeader)
+		m, err := s.recvAny(ctx, wire.KindHeader)
 		if err != nil {
 			return 0, err
 		}
@@ -530,18 +538,27 @@ func sortedCopy(elems []*big.Int) []*big.Int {
 	return out
 }
 
-// elemKey returns a map key for a group element.
-func elemKey(x *big.Int) string { return string(x.Bytes()) }
+// sortIndicesByElem returns a permutation perm such that
+// elems[perm[0]] <= elems[perm[1]] <= ... in numeric (= wire
+// lexicographic) order.
+func sortIndicesByElem(elems []*big.Int) []int {
+	perm := make([]int, len(elems))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(i, j int) bool { return elems[perm[i]].Cmp(elems[perm[j]]) < 0 })
+	return perm
+}
 
 // keyer builds fixed-width map keys for group elements by FillBytes
-// into a reused buffer of the codec's element width, so the match-phase
-// maps hash constant-size strings instead of reallocating a
+// into a reused buffer of the backend's element width, so the match
+// phases hash constant-size strings instead of reallocating a
 // variable-length Bytes() slice per element.  Not safe for concurrent
 // use; the match phases are single-goroutine.
 type keyer struct{ buf []byte }
 
-func (s *session) newKeyer() *keyer {
-	return &keyer{buf: make([]byte, s.codec.ElemLen())}
+func newKeyer(g group.Backend) *keyer {
+	return &keyer{buf: make([]byte, g.ElementLen())}
 }
 
 func (k *keyer) key(x *big.Int) string {
@@ -549,8 +566,8 @@ func (k *keyer) key(x *big.Int) string {
 	return string(k.buf)
 }
 
-// multisetCountsKeyed is multisetCounts with fixed-width keys.
-func multisetCountsKeyed(elems []*big.Int, k *keyer) map[string]int {
+// multisetCounts tallies the occurrences of each element.
+func multisetCounts(elems []*big.Int, k *keyer) map[string]int {
 	out := make(map[string]int, len(elems))
 	for _, e := range elems {
 		out[k.key(e)]++
@@ -558,11 +575,13 @@ func multisetCountsKeyed(elems []*big.Int, k *keyer) map[string]int {
 	return out
 }
 
-// sortSlice sorts xs with the provided less function; a tiny wrapper that
-// keeps call sites terse.
-func sortSlice(xs []int, less func(a, b int) bool) {
-	sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+// overlap returns Σ_{z∈a} |{z' ∈ b : z' = z}|: |A ∩ B| when both are
+// sets, and the join size Σ_v dup_A(v)·dup_B(v) when they are multisets.
+func overlap(a, b []*big.Int, k *keyer) int {
+	inB := multisetCounts(b, k)
+	n := 0
+	for _, z := range a {
+		n += inB[k.key(z)]
+	}
+	return n
 }
-
-// valuesEqual reports whether two application values are identical.
-func valuesEqual(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"minshare/internal/commutative"
@@ -76,12 +79,65 @@ func (s *session) deltaUpgradable() bool {
 	return false
 }
 
+// errDeltaChurn reports a delta over the Config.DeltaChurnMax bound.
+var errDeltaChurn = errors.New("core: delta exceeds the churn bound")
+
+// applySetDelta brings the sender's encrypted set forward by d, paying
+// exactly the sender half of costmodel.IntersectionUpdateOps /
+// JoinUpdateOps: hash the churned values (C_h = churn) and re-encrypt
+// them under the entry's pinned key inside ApplyDelta (C_e = churn).
+// In the equijoin shape every inserted or updated value also gets a
+// fresh payload ciphertext K(f_e'S(h(v)), ext(v)) under the retained
+// e'_S — one more C_e and one C_K each.  Updated values do not change
+// set membership, so the set protocols skip them entirely.  nValues is
+// the churn bound's denominator; a delta over the bound, or one that
+// conflicts with the set, is an error and the caller falls back (full
+// rebuild, or ending the subscription).  Both the cache-upgrade path and
+// the standing-query push loop maintain their set through here.
+func (s *session) applySetDelta(ctx context.Context, ent *CacheEntry, d SetDelta, nValues int) (*CacheEntry, *commutative.CipherDelta, error) {
+	upserts := d.Inserted
+	if ent.hasExt() {
+		upserts = slices.Concat(d.Inserted, d.Updated)
+	}
+	churn := len(upserts) + len(d.Deleted)
+	if s.cfg.DeltaChurnMax >= 0 && float64(churn) > s.cfg.DeltaChurnMax*float64(nValues) {
+		return nil, nil, errDeltaChurn
+	}
+	all := make([][]byte, 0, churn)
+	exts := make([][]byte, 0, len(upserts))
+	for _, r := range upserts {
+		all = append(all, r.Value)
+		exts = append(exts, r.Ext)
+	}
+	hs, err := s.hashSet(append(all, d.Deleted...))
+	if err != nil {
+		return nil, nil, err
+	}
+	nIns, nUp := len(d.Inserted), len(upserts)
+	var insP, updP [][]byte // nil: ApplyDelta's payload-less shape
+	if ent.hasExt() {
+		kappas, err := s.encryptSet(ctx, ent.ExtKey, hs[:nUp])
+		if err != nil {
+			return nil, nil, err
+		}
+		payloads, err := s.encryptPayloads(kappas, exts)
+		if err != nil {
+			return nil, nil, err
+		}
+		insP, updP = payloads[:nIns], payloads[nIns:]
+	}
+	next, cd, err := ent.Set.ApplyDelta(ctx, s.cfg.Scheme, hs[:nIns], hs[nIns:nUp], hs[nUp:], insP, updP, s.cfg.Parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &CacheEntry{Set: next, ExtKey: ent.ExtKey}, cd, nil
+}
+
 // upgradeCachedEntry tries to bring a stale cached entry for this run's
 // slot up to the current data version by re-encrypting only the delta:
 // the O(churn) alternative to the O(|V|) rebuild.  nValues is the
-// current set size (the churn bound's denominator); wantPayload selects
-// the equijoin shape, where inserted and updated values also need fresh
-// K(κ(v), ext(v)) ciphertexts under the entry's retained e'_S.
+// current set size (the churn bound's denominator); withExt is the
+// shape the protocol needs, which the stale entry must have.
 //
 // On success the upgraded entry is already cached under the current key
 // (displacing the stale one) and the upgrade is counted; any failure —
@@ -89,7 +145,7 @@ func (s *session) deltaUpgradable() bool {
 // or a delta/set conflict — counts a rebuild (when an upgrade was
 // actually attempted) and returns false so the caller runs the cold
 // path.
-func (s *session) upgradeCachedEntry(ctx context.Context, nValues int, wantPayload bool) (*CacheEntry, bool) {
+func (s *session) upgradeCachedEntry(ctx context.Context, nValues int, withExt bool) (*CacheEntry, bool) {
 	if !s.deltaUpgradable() {
 		return nil, false
 	}
@@ -98,10 +154,7 @@ func (s *session) upgradeCachedEntry(ctx context.Context, nValues int, wantPaylo
 		start = time.Now()
 	}
 	ent, staleVer, ok := s.cfg.SetCache.LookupStale(s.cfg.CacheKey)
-	if !ok {
-		return nil, false
-	}
-	if wantPayload && (ent.Set.Payload() == nil || ent.ExtKey == nil) {
+	if !ok || ent.hasExt() != withExt {
 		return nil, false
 	}
 	stats := s.cfg.SetCache.stats
@@ -110,63 +163,11 @@ func (s *session) upgradeCachedEntry(ctx context.Context, nValues int, wantPaylo
 		stats.AddRebuild()
 		return nil, false
 	}
-	churn := len(d.Inserted) + len(d.Deleted)
-	if wantPayload {
-		churn += len(d.Updated)
-	}
-	if float64(churn) > s.cfg.DeltaChurnMax*float64(nValues) {
-		stats.AddRebuild()
-		return nil, false
-	}
-
-	// Hash the churn values (C_h = churn), then re-encrypt them under the
-	// entry's pinned key inside ApplyDelta (C_e = churn).  Updated values
-	// do not change set membership, so the set protocols skip them
-	// entirely — zero work for an ext-only change.
-	var insV, updV [][]byte
-	var insExt, updExt [][]byte
-	for _, r := range d.Inserted {
-		insV = append(insV, r.Value)
-		insExt = append(insExt, r.Ext)
-	}
-	if wantPayload {
-		for _, r := range d.Updated {
-			updV = append(updV, r.Value)
-			updExt = append(updExt, r.Ext)
-		}
-	}
-	all := make([][]byte, 0, len(insV)+len(updV)+len(d.Deleted))
-	all = append(all, insV...)
-	all = append(all, updV...)
-	all = append(all, d.Deleted...)
-	hs, err := s.hashSet(all)
+	up, _, err := s.applySetDelta(ctx, ent, d, nValues)
 	if err != nil {
 		stats.AddRebuild()
 		return nil, false
 	}
-	insH := hs[:len(insV)]
-	updH := hs[len(insV) : len(insV)+len(updV)]
-	delH := hs[len(insV)+len(updV):]
-
-	var insP, updP [][]byte
-	if wantPayload {
-		// κ(v) = f_e'S(h(v)) for every upserted value, then the payload
-		// ciphertext K(κ(v), ext(v)) — one C_e and one C_K per upsert.
-		insP, err = s.encryptExts(ctx, ent.ExtKey, insH, insExt)
-		if err == nil {
-			updP, err = s.encryptExts(ctx, ent.ExtKey, updH, updExt)
-		}
-		if err != nil {
-			stats.AddRebuild()
-			return nil, false
-		}
-	}
-	next, _, err := ent.Set.ApplyDelta(ctx, s.cfg.Scheme, insH, updH, delH, insP, updP, s.cfg.Parallelism)
-	if err != nil {
-		stats.AddRebuild()
-		return nil, false
-	}
-	up := &CacheEntry{Set: next, ExtKey: ent.ExtKey}
 	s.cachePut(up)
 	stats.AddUpgrade()
 	if s.lat != nil {
@@ -175,20 +176,16 @@ func (s *session) upgradeCachedEntry(ctx context.Context, nValues int, wantPaylo
 	return up, true
 }
 
-// encryptExts computes the equijoin payload ciphertexts
-// K(f_extKey(h(v)), ext(v)) for hashed values hs with aligned payloads
-// exts.  Degenerate empty input returns an empty (non-nil) slice so
-// ApplyDelta's payload-alignment check holds even with zero upserts.
-func (s *session) encryptExts(ctx context.Context, extKey *commutative.Key, hs []*big.Int, exts [][]byte) ([][]byte, error) {
-	kappas, err := s.encryptSet(ctx, extKey, hs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(hs))
-	for i := range hs {
-		out[i], err = s.cfg.Cipher.Encrypt(kappas[i], exts[i])
-		if err != nil {
-			return nil, err
+// encryptPayloads computes the equijoin payload ciphertexts
+// K(κ(v), ext(v)) for κ values kappas with aligned payloads exts.  The
+// result is non-nil even when empty, which is what marks a cached set
+// as payload-carrying.
+func (s *session) encryptPayloads(kappas []*big.Int, exts [][]byte) ([][]byte, error) {
+	out := make([][]byte, len(kappas))
+	for i, kappa := range kappas {
+		var err error
+		if out[i], err = s.cfg.Cipher.Encrypt(kappa, exts[i]); err != nil {
+			return nil, fmt.Errorf("core: encrypting ext(v): %w", err)
 		}
 		if s.counters != nil {
 			s.counters.AddPayloadEncrypts(1)

@@ -1,12 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/big"
-	"time"
 
-	"minshare/internal/commutative"
 	"minshare/internal/obs"
 	"minshare/internal/transport"
 	"minshare/internal/wire"
@@ -40,27 +39,27 @@ type JoinResult struct {
 	SenderDataVersion uint64
 }
 
+func (r *JoinResult) peerSetSize() int { return r.SenderSetSize }
+
 // EquijoinReceiver runs party R of the equijoin protocol of Section 4.3.
-//
-// Steps executed here (numbering from Section 4.3):
-//
-//	1-2. hash V_R, draw e_R, compute Y_R
-//	3.   send Y_R sorted
-//	6.   apply f_eR^{-1} to both encrypted components of each aligned
-//	     reply, obtaining ⟨f_eS(h(v)), f_e'S(h(v))⟩ per v ∈ V_R
-//	7.   match S's ⟨f_eS(h(v)), K(κ(v), ext(v))⟩ pairs on the first
-//	     entry and decrypt ext(v) with κ(v) = f_e'S(h(v))
-//	8.   return the matches (the caller computes T_S ⋈ T_R from them)
+// The engine (runReceiver) executes steps 1-6, leaving R with
+// ⟨f_eS(h(v)), f_e'S(h(v))⟩ per v ∈ V_R and S's ⟨f_eS(h(v)), K(κ(v),
+// ext(v))⟩ pairs; equijoinState is step 7 — match the two on the first
+// entry and decrypt ext(v) with κ(v) = f_e'S(h(v)) — and the caller
+// computes T_S ⋈ T_R from the returned matches (step 8).
 func EquijoinReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinResult, error) {
-	if cfg.Shards > 1 {
-		return shardedEquijoinReceiver(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
-	st, err := s.equijoinReceiverRun(ctx, dedup(values))
+	return execute(ctx, cfg, conn, protoEquijoin, true, dedup(values), nil, oneShot(newEquijoinState), mergeJoins)
+}
+
+// EquijoinSender runs party S of the equijoin protocol of Section 4.3.
+// records may repeat a value only with an identical Ext; conflicting
+// duplicates are rejected, since ext(v) is defined per distinct value.
+func EquijoinSender(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
+	vS, exts, err := dedupRecords(records)
 	if err != nil {
 		return nil, err
 	}
-	return st.result(s.peerVersion), nil
+	return execute(ctx, cfg, conn, protoEquijoin, false, vS, exts, setSender, mergeSenderInfo)
 }
 
 // equijoinState is the receiver-side state of one equijoin run that a
@@ -71,13 +70,53 @@ func EquijoinReceiver(ctx context.Context, cfg Config, conn transport.Conn, valu
 type equijoinState struct {
 	vR        [][]byte
 	order     []int
-	singleS   []*big.Int
 	kappas    []*big.Int
 	extByElem map[string][]byte
 	matched   []*JoinMatch
 	posByKey  map[string]int
 	peerSize  int
 	ky        *keyer
+}
+
+// newEquijoinState is step 7: index S's pairs by first entry and match.
+func newEquijoinState(ctx context.Context, s *session, run *receiverRun) (standingState[*JoinResult], error) {
+	sp := obs.StartSpan(ctx, "match-join")
+	defer sp.End()
+	st := &equijoinState{
+		vR: run.vR, order: run.order, kappas: run.reply.b, peerSize: run.peerSize,
+		extByElem: make(map[string][]byte, run.peer.len()),
+		matched:   make([]*JoinMatch, len(run.vR)),
+		posByKey:  make(map[string]int, len(run.vR)),
+		ky:        newKeyer(s.cfg.Group),
+	}
+	for i, e := range run.peer.a {
+		st.extByElem[st.ky.key(e)] = run.peer.exts[i]
+	}
+	for pos, single := range run.reply.a {
+		k := st.ky.key(single)
+		st.posByKey[k] = pos
+		if ct, hit := st.extByElem[k]; hit {
+			if err := st.match(s, pos, ct); err != nil {
+				return nil, s.abort(ctx, err)
+			}
+		}
+	}
+	return st, nil
+}
+
+// match decrypts S's payload ciphertext for R's value at sorted position
+// pos and records the joined pair.
+func (st *equijoinState) match(s *session, pos int, ct []byte) error {
+	ext, err := s.cfg.Cipher.Decrypt(st.kappas[pos], ct)
+	if err != nil {
+		return fmt.Errorf("core: decrypting ext(v): %w", err)
+	}
+	if s.counters != nil {
+		s.counters.AddPayloadDecrypts(1)
+	}
+	idx := st.order[pos]
+	st.matched[idx] = &JoinMatch{Value: st.vR[idx], Ext: ext}
+	return nil
 }
 
 // result assembles the matches in R's input order.
@@ -91,245 +130,55 @@ func (st *equijoinState) result(peerVersion uint64) *JoinResult {
 	return res
 }
 
-// equijoinReceiverRun executes the single-pipeline receiver body and
-// returns the retained state (the exported entry point derives the
-// result and drops it; the standing variant keeps it live).
-func (s *session) equijoinReceiverRun(ctx context.Context, vR [][]byte) (*equijoinState, error) {
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoin, len(vR), true)
-	if err != nil {
-		return nil, err
+// fold applies one pushed update.  The pushed elements are f_eS(h(v)) —
+// the exact key domain of the retained index — so R pays no
+// exponentiations, only one payload decryption per changed match.
+func (st *equijoinState) fold(_ context.Context, s *session, u wire.SubUpdate) error {
+	if !u.HasExt && len(u.Upserts) > 0 {
+		return fmt.Errorf("%w: equijoin sub update lacks ext payloads", ErrMalformedReply)
 	}
-
-	// Steps 1-2.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(vR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// Step 3: send Y_R sorted, remembering the permutation.
-	sp = obs.StartSpan(ctx, "exchange")
-	order := sortIndicesByElem(yR)
-	sortedYR := make([]*big.Int, len(yR))
-	for pos, idx := range order {
-		sortedYR[pos] = yR[idx]
-	}
-	if err := s.sendElems(ctx, sortedYR); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4+6 pipelined: receive ⟨f_eS(y), f_e'S(y)⟩ aligned with
-	// sortedYR (S preserves order instead of echoing y — the Section 6.1
-	// optimization applied to the 3-tuples) and strip R's own layer from
-	// both components chunk by chunk:
-	// f_eR^{-1}(f_eS(f_eR(h(v)))) = f_eS(h(v)) and likewise for e'_S.
-	singleS, kappas, err := s.recvPairsDecrypt(ctx, eR, len(vR), "f_eS(Y_R)", "f_e'S(Y_R)")
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 5 (peer): receive the ⟨f_eS(h(v)), c(v)⟩ pairs, sorted by the
-	// first entry.
-	extElems, extCts, err := s.recvExtPairs(ctx, peerSize, "f_eS(h(V_S))")
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 7: index S's pairs by first entry and match.
-	sp = obs.StartSpan(ctx, "match-join")
-	defer sp.End()
-	ky := s.newKeyer()
-	extByElem := make(map[string][]byte, len(extElems))
-	for i, e := range extElems {
-		extByElem[ky.key(e)] = extCts[i]
-	}
-	posByKey := make(map[string]int, len(vR))
-	matched := make([]*JoinMatch, len(vR))
-	for pos, idx := range order {
-		k := ky.key(singleS[pos])
-		posByKey[k] = pos
-		ct, hit := extByElem[k]
-		if !hit {
-			continue
+	inserted := 0
+	for i, e := range u.Upserts {
+		k := st.ky.key(e)
+		if _, present := st.extByElem[k]; !present {
+			inserted++
 		}
-		ext, err := s.cfg.Cipher.Decrypt(kappas[pos], ct)
-		if err != nil {
-			return nil, s.abort(ctx, fmt.Errorf("core: decrypting ext(v): %w", err))
+		st.extByElem[k] = u.UpsertExt[i]
+		if pos, mine := st.posByKey[k]; mine {
+			if err := st.match(s, pos, u.UpsertExt[i]); err != nil {
+				return err
+			}
 		}
-		if s.counters != nil {
-			s.counters.AddPayloadDecrypts(1)
-		}
-		matched[idx] = &JoinMatch{Value: vR[idx], Ext: ext}
 	}
-	return &equijoinState{
-		vR:        vR,
-		order:     order,
-		singleS:   singleS,
-		kappas:    kappas,
-		extByElem: extByElem,
-		matched:   matched,
-		posByKey:  posByKey,
-		peerSize:  peerSize,
-		ky:        ky,
-	}, nil
+	for _, e := range u.Deleted {
+		k := st.ky.key(e)
+		if _, present := st.extByElem[k]; !present {
+			return fmt.Errorf("%w: pushed delete not present", ErrMalformedReply)
+		}
+		delete(st.extByElem, k)
+		if pos, mine := st.posByKey[k]; mine {
+			st.matched[st.order[pos]] = nil
+		}
+	}
+	st.peerSize += inserted - len(u.Deleted)
+	return nil
 }
 
-// EquijoinSender runs party S of the equijoin protocol of Section 4.3.
-// records may repeat a value only with an identical Ext; conflicting
-// duplicates are rejected, since ext(v) is defined per distinct value.
-func EquijoinSender(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return shardedEquijoinSender(ctx, cfg, conn, records)
-	}
-	s := newSession(ctx, cfg, conn)
-	vS, exts, err := dedupRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	info, _, _, _, _, err := s.equijoinSenderRun(ctx, vS, exts)
-	return info, err
-}
-
-// equijoinSenderRun executes the single-pipeline sender body and
-// additionally returns the pinned keys and the sorted step-5 pairs so a
-// standing sender can keep serving deltas.
-func (s *session) equijoinSenderRun(ctx context.Context, vS, exts [][]byte) (*SenderInfo, *commutative.Key, *commutative.Key, []*big.Int, [][]byte, error) {
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoin, len(vS), false)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-
-	// Step 1: hash V_S; draw the two secret keys e_S and e'_S — or, on a
-	// cache hit, replay the pinned keys together with the precomputed
-	// step-5 pairs from an earlier run against this peer.  Both keys are
-	// still needed live: the steps 3-4 pair exchange below encrypts R's
-	// fresh Y_R under them on every run, warm or cold.
-	var (
-		xS          []*big.Int
-		eS, ePrimeS *commutative.Key
-		outElems    []*big.Int
-		outExts     [][]byte
-	)
-	// precompute accumulates the cache-miss-path precomputation time
-	// (step 1 here plus step 5 below); the exchange in between is not the
-	// cache's to answer for, so it stays out of the histogram.
-	var precompute time.Duration
-	var phaseStart time.Time
-	if s.lat != nil {
-		phaseStart = time.Now()
-	}
-	ent, warm := s.cacheLookup()
-	if warm {
-		eS, ePrimeS = ent.Set.Key(), ent.ExtKey
-		outElems, outExts = ent.Set.Elems(), ent.Set.Payload()
-		if s.lat != nil {
-			s.lat.Record(obs.LatCacheHit, time.Since(phaseStart))
-		}
-	} else if ent, warm = s.upgradeCachedEntry(ctx, len(vS), true); warm {
-		// A stale entry was upgraded by delta: the pinned keys replay and
-		// the step-5 pairs are already current (upgradeCachedEntry records
-		// its own latency).
-		eS, ePrimeS = ent.Set.Key(), ent.ExtKey
-		outElems, outExts = ent.Set.Elems(), ent.Set.Payload()
-	} else {
-		sp := obs.StartSpan(ctx, "hash-to-group")
-		xS, err = s.hashSet(vS)
-		sp.End()
-		if err != nil {
-			return nil, nil, nil, nil, nil, s.abort(ctx, err)
-		}
-		eS, err = s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-		if err != nil {
-			return nil, nil, nil, nil, nil, s.abort(ctx, fmt.Errorf("core: generating e_S: %w", err))
-		}
-		ePrimeS, err = s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-		if err != nil {
-			return nil, nil, nil, nil, nil, s.abort(ctx, fmt.Errorf("core: generating e'_S: %w", err))
-		}
-		if s.lat != nil {
-			precompute += time.Since(phaseStart)
+// mergeJoins folds per-shard joins back into R's input order.
+func mergeJoins(vR [][]byte, parts []*JoinResult, peerTotal int, peerVersion uint64) *JoinResult {
+	matched := make(map[string]JoinMatch)
+	for _, part := range parts {
+		for _, m := range part.Matches {
+			matched[string(m.Value)] = m
 		}
 	}
-
-	// Steps 3-4 pipelined: receive Y_R and reply with the aligned
-	// ⟨f_eS(y), f_e'S(y)⟩ pairs — in streaming mode each chunk of Y_R is
-	// double-encrypted and its pair chunk shipped while the next chunk
-	// is still in flight.
-	sp := obs.StartSpan(ctx, "exchange")
-	_, err = s.recvEncryptPairsSend(ctx, eS, ePrimeS, peerSize, "Y_R")
-	sp.End()
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-
-	// Step 5: for each v ∈ V_S, form ⟨f_eS(h(v)), K(f_e'S(h(v)), ext(v))⟩
-	// — skipped wholesale on a warm run, which ships the cached pairs.
-	if !warm {
-		if s.lat != nil {
-			phaseStart = time.Now()
-		}
-		sp = obs.StartSpan(ctx, "bulk-encrypt")
-		firsts, err := s.encryptSet(ctx, eS, xS)
-		if err != nil {
-			sp.End()
-			return nil, nil, nil, nil, nil, s.abort(ctx, err)
-		}
-		kappas, err := s.encryptSet(ctx, ePrimeS, xS)
-		sp.End()
-		if err != nil {
-			return nil, nil, nil, nil, nil, s.abort(ctx, err)
-		}
-		sp = obs.StartSpan(ctx, "payload-encrypt")
-		ciphertexts := make([][]byte, len(vS))
-		for i := range vS {
-			ciphertexts[i], err = s.cfg.Cipher.Encrypt(kappas[i], exts[i])
-			if err != nil {
-				sp.End()
-				return nil, nil, nil, nil, nil, s.abort(ctx, fmt.Errorf("core: encrypting ext(v): %w", err))
-			}
-			if s.counters != nil {
-				s.counters.AddPayloadEncrypts(1)
-			}
-		}
-		sp.End()
-		// Ship in lexicographic order of the first entry.
-		perm := sortIndicesByElem(firsts)
-		outElems = make([]*big.Int, len(vS))
-		outExts = make([][]byte, len(vS))
-		for pos, idx := range perm {
-			outElems[pos] = firsts[idx]
-			outExts[pos] = ciphertexts[idx]
-		}
-		if s.cfg.SetCache != nil {
-			if cs, cerr := commutative.CachedSetFromSorted(eS, outElems, outExts); cerr == nil {
-				s.cachePut(&CacheEntry{Set: cs, ExtKey: ePrimeS})
-			}
-		}
-		if s.lat != nil {
-			s.lat.Record(obs.LatCacheMiss, precompute+time.Since(phaseStart))
+	res := &JoinResult{SenderSetSize: peerTotal, SenderDataVersion: peerVersion}
+	for _, v := range vR {
+		if m, ok := matched[string(v)]; ok {
+			res.Matches = append(res.Matches, m)
 		}
 	}
-	sp = obs.StartSpan(ctx, "send-pairs")
-	err = s.sendExtPairs(ctx, outElems, outExts)
-	sp.End()
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerSize}, eS, ePrimeS, outElems, outExts, nil
+	return res
 }
 
 // dedupRecords splits records into parallel value/ext slices with
@@ -340,7 +189,7 @@ func dedupRecords(records []JoinRecord) (values [][]byte, exts [][]byte, err err
 	for _, rec := range records {
 		k := string(rec.Value)
 		if i, dup := seen[k]; dup {
-			if !valuesEqual(exts[i], rec.Ext) {
+			if !bytes.Equal(exts[i], rec.Ext) {
 				return nil, nil, fmt.Errorf("core: value %q has conflicting ext payloads", rec.Value)
 			}
 			continue

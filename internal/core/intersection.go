@@ -25,33 +25,21 @@ type IntersectionResult struct {
 	SenderDataVersion uint64
 }
 
-// SenderInfo is what party S learns from a protocol run: only |V_R|.
-type SenderInfo struct {
-	// ReceiverSetSize is |V_R|.
-	ReceiverSetSize int
-}
+func (r *IntersectionResult) peerSetSize() int { return r.SenderSetSize }
 
 // IntersectionReceiver runs party R of the intersection protocol of
 // Section 3.3 over conn.  values may contain duplicates; the distinct
-// set V_R is used, as the paper prescribes.
-//
-// Protocol steps executed here (numbering from Section 3.3):
-//
-//	1-2. hash V_R, draw e_R, compute Y_R = f_eR(h(V_R))
-//	3.   send Y_R to S, reordered lexicographically
-//	5.   encrypt each y ∈ Y_S with e_R, giving Z_S; pair the aligned
-//	     replies ⟨f_eR(h(v)), f_eS(f_eR(h(v)))⟩ back with their v
-//	6.   select all v ∈ V_R whose double encryption lands in Z_S
+// set V_R is used, as the paper prescribes.  The engine (runReceiver)
+// executes steps 1-5; step 6 — select all v ∈ V_R whose double
+// encryption f_eS(f_eR(h(v))) lands in Z_S — is intersectionState.
 func IntersectionReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*IntersectionResult, error) {
-	if cfg.Shards > 1 {
-		return shardedIntersectionReceiver(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
-	st, err := s.intersectionReceiverRun(ctx, dedup(values))
-	if err != nil {
-		return nil, err
-	}
-	return st.result(s.peerVersion), nil
+	return execute(ctx, cfg, conn, protoIntersection, true, dedup(values), nil, oneShot(newIntersectionState), mergeIntersection)
+}
+
+// IntersectionSender runs party S of the intersection protocol of
+// Section 3.3 over conn.  S learns only |V_R|.
+func IntersectionSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
+	return execute(ctx, cfg, conn, protoIntersection, false, dedup(values), nil, setSender, mergeSenderInfo)
 }
 
 // intersectionState is the receiver-side state of one intersection run
@@ -70,7 +58,22 @@ type intersectionState struct {
 	ky       *keyer
 }
 
-// result evaluates the membership test over the current zSet.
+// newIntersectionState indexes Z_S for the membership test of step 6.
+func newIntersectionState(ctx context.Context, s *session, run *receiverRun) (standingState[*IntersectionResult], error) {
+	sp := obs.StartSpan(ctx, "match")
+	defer sp.End()
+	st := &intersectionState{
+		vR: run.vR, eR: run.eR, order: run.order, doubles: run.reply.a, peerSize: run.peerSize,
+		zSet: make(map[string]struct{}, len(run.zS)),
+		ky:   newKeyer(s.cfg.Group),
+	}
+	for _, z := range run.zS {
+		st.zSet[st.ky.key(z)] = struct{}{}
+	}
+	return st, nil
+}
+
+// result evaluates step 6 over the current zSet.
 func (st *intersectionState) result(peerVersion uint64) *IntersectionResult {
 	inIntersection := make([]bool, len(st.vR))
 	for pos, idx := range st.order {
@@ -87,150 +90,55 @@ func (st *intersectionState) result(peerVersion uint64) *IntersectionResult {
 	return res
 }
 
-// intersectionReceiverRun executes the single-pipeline receiver body
-// and returns the retained state (the exported entry point derives the
-// result and drops it; the standing variant keeps it live).
-func (s *session) intersectionReceiverRun(ctx context.Context, vR [][]byte) (*intersectionState, error) {
-	peerSize, err := s.handshake(ctx, wire.ProtoIntersection, len(vR), true)
+// fold applies one pushed update: lift each pushed f_eS(h(v)) into the
+// double-encrypted domain with the retained e_R — by commutativity
+// f_eR(f_eS(h(v))) is exactly the Z_S representation — then update
+// membership by map surgery.  That is (nIns+nDel) encryptions and no
+// oracle hashes per update (costmodel.IntersectionUpdateOps).
+func (st *intersectionState) fold(ctx context.Context, s *session, u wire.SubUpdate) error {
+	if u.HasExt {
+		return fmt.Errorf("%w: ext payloads in an intersection sub update", ErrMalformedReply)
+	}
+	ins, err := s.encryptSet(ctx, st.eR, u.Upserts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	// Step 1: hash the set (with the §3.2.2 collision check) and draw e_R.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(vR)
-	sp.End()
+	del, err := s.encryptSet(ctx, st.eR, u.Deleted)
 	if err != nil {
-		return nil, s.abort(ctx, err)
+		return err
 	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
+	for _, z := range ins {
+		k := st.ky.key(z)
+		if _, dup := st.zSet[k]; dup {
+			return fmt.Errorf("%w: pushed insert already present", ErrMalformedReply)
+		}
+		st.zSet[k] = struct{}{}
 	}
-
-	// Step 2: Y_R = f_eR(h(V_R)).
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
+	for _, z := range del {
+		k := st.ky.key(z)
+		if _, ok := st.zSet[k]; !ok {
+			return fmt.Errorf("%w: pushed delete not present", ErrMalformedReply)
+		}
+		delete(st.zSet, k)
 	}
-
-	// Step 3: ship Y_R sorted.  Remember which value sits at each sorted
-	// position so the aligned reply of step 4(b) can be matched back.
-	sp = obs.StartSpan(ctx, "exchange")
-	order := sortIndicesByElem(yR)
-	sortedYR := make([]*big.Int, len(yR))
-	for pos, idx := range order {
-		sortedYR[pos] = yR[idx]
-	}
-	if err := s.sendElems(ctx, sortedYR); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4(a)+5 pipelined: receive Y_S (sorted, |V_S| elements) and
-	// compute Z_S = f_eR(Y_S), each chunk re-encrypted while the next is
-	// in flight.
-	_, zS, err := s.recvReencryptStream(ctx, eR, peerSize, "Y_S", true)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 4(b): receive f_eS(y) for each y ∈ Y_R, aligned with the
-	// sorted order of step 3 (S "does not retransmit the y's back but
-	// just preserves the original order" — the Section 6.1 optimization).
-	doubles, err := s.recvElems(ctx, len(vR), "f_eS(Y_R)", false)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	sp = obs.StartSpan(ctx, "match")
-	defer sp.End()
-	ky := s.newKeyer()
-	zSet := make(map[string]struct{}, len(zS))
-	for _, z := range zS {
-		zSet[ky.key(z)] = struct{}{}
-	}
-
-	// Step 6 (v ∈ V_S ∩ V_R iff f_eS(f_eR(h(v))) ∈ Z_S) is evaluated by
-	// result() over the retained state.
-	return &intersectionState{
-		vR:       vR,
-		eR:       eR,
-		order:    order,
-		doubles:  doubles,
-		zSet:     zSet,
-		peerSize: peerSize,
-		ky:       ky,
-	}, nil
+	st.peerSize += len(ins) - len(del)
+	return nil
 }
 
-// IntersectionSender runs party S of the intersection protocol of
-// Section 3.3 over conn.  S learns only |V_R|.
-func IntersectionSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return shardedIntersectionSender(ctx, cfg, conn, values)
+// mergeIntersection folds per-shard intersections back into R's input
+// order: buckets partition vR, so each match names one input value.
+func mergeIntersection(vR [][]byte, parts []*IntersectionResult, peerTotal int, peerVersion uint64) *IntersectionResult {
+	matched := make(map[string]bool)
+	for _, part := range parts {
+		for _, v := range part.Values {
+			matched[string(v)] = true
+		}
 	}
-	s := newSession(ctx, cfg, conn)
-	info, _, _, err := s.intersectionSenderRun(ctx, dedup(values))
-	return info, err
-}
-
-// intersectionSenderRun executes the single-pipeline sender body and
-// additionally returns e_S and the sorted encrypted set so a standing
-// sender can keep serving deltas under the pinned key.
-func (s *session) intersectionSenderRun(ctx context.Context, vS [][]byte) (*SenderInfo, *commutative.Key, []*big.Int, error) {
-	peerSize, err := s.handshake(ctx, wire.ProtoIntersection, len(vS), false)
-	if err != nil {
-		return nil, nil, nil, err
+	res := &IntersectionResult{SenderSetSize: peerTotal, SenderDataVersion: peerVersion}
+	for _, v := range vR {
+		if matched[string(v)] {
+			res.Values = append(res.Values, v)
+		}
 	}
-
-	// Step 1-2: hash V_S, draw e_S, compute Y_S — or, on a cache hit,
-	// replay the whole phase (hashing, key draw, bulk exponentiation,
-	// lexicographic reordering) from an earlier run against this peer.
-	eS, sortedYS, err := s.ownEncryptedSet(ctx, vS)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Step 3 (peer) + step 4(a): receive Y_R and ship Y_S reordered
-	// lexicographically.  The two vectors are independent, so streaming
-	// mode runs the halves full-duplex; legacy mode keeps the lock-step
-	// recv-then-send order.
-	sp := obs.StartSpan(ctx, "exchange")
-	var yR []*big.Int
-	err = s.duplex(ctx, true,
-		func(ctx context.Context) error { return s.sendElems(ctx, sortedYS) },
-		func(ctx context.Context) error {
-			var rerr error
-			yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true)
-			return rerr
-		})
-	sp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Step 4(b): encrypt each y ∈ Y_R with e_S and send back, preserving
-	// the received order so R can match without the y's being repeated —
-	// chunk i on the wire while chunk i+1 is still exponentiating.
-	if _, err := s.streamEncryptSend(ctx, eS, yR); err != nil {
-		return nil, nil, nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerSize}, eS, sortedYS, nil
-}
-
-// sortIndicesByElem returns a permutation perm such that
-// elems[perm[0]] <= elems[perm[1]] <= ... in numeric (= wire
-// lexicographic) order.
-func sortIndicesByElem(elems []*big.Int) []int {
-	perm := make([]int, len(elems))
-	for i := range perm {
-		perm[i] = i
-	}
-	sortSlice(perm, func(a, b int) bool { return elems[a].Cmp(elems[b]) < 0 })
-	return perm
+	return res
 }

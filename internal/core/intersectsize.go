@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/big"
 
 	"minshare/internal/obs"
 	"minshare/internal/transport"
-	"minshare/internal/wire"
 )
 
 // SizeResult is what party R learns from the intersection-size protocol:
@@ -22,6 +19,8 @@ type SizeResult struct {
 	SenderDataVersion uint64
 }
 
+func (r *SizeResult) peerSetSize() int { return r.SenderSetSize }
+
 // IntersectionSizeReceiver runs party R of the intersection-size
 // protocol of Section 5.1.1.  The difference from the intersection
 // protocol is confined to step 4(b): S returns only the lexicographically
@@ -29,127 +28,36 @@ type SizeResult struct {
 // R cannot match them back to its own values and learns only the overlap
 // cardinality.
 func IntersectionSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SizeResult, error) {
-	if cfg.Shards > 1 {
-		return shardedIntersectionSizeReceiver(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
-	vR := dedup(values)
+	return execute(ctx, cfg, conn, protoIntersectionSize, true, dedup(values), nil, intersectionSizeReceiver, mergeSizes)
+}
 
-	peerSize, err := s.handshake(ctx, wire.ProtoIntersectionSize, len(vR), true)
+// intersectionSizeReceiver is step 6: |Z_S ∩ Z_R| = |V_S ∩ V_R|.
+func intersectionSizeReceiver(ctx context.Context, s *session, p protocol, vR, _ [][]byte) (*SizeResult, error) {
+	run, err := s.runReceiver(ctx, p, vR)
 	if err != nil {
 		return nil, err
 	}
-
-	// Steps 1-2: hash, draw e_R, encrypt.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(vR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// Step 3: send Y_R sorted.  No permutation bookkeeping is needed —
-	// nothing that comes back can be aligned, by design.
-	sp = obs.StartSpan(ctx, "exchange")
-	if err := s.sendElems(ctx, sortedCopy(yR)); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4(a)+5 pipelined: receive Y_S sorted, re-encrypting each
-	// chunk into Z_S = f_eR(Y_S) while the next is in flight.
-	_, zS, err := s.recvReencryptStream(ctx, eR, peerSize, "Y_S", true)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 4(b): receive Z_R = f_eS(f_eR(h(V_R))), reordered
-	// lexicographically — the detachment from the y's is the whole point.
-	zR, err := s.recvElems(ctx, len(vR), "Z_R", true)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6: |Z_S ∩ Z_R| = |V_S ∩ V_R|.
-	sp = obs.StartSpan(ctx, "match")
+	sp := obs.StartSpan(ctx, "match")
 	defer sp.End()
-	ky := s.newKeyer()
-	zSet := make(map[string]struct{}, len(zS))
-	for _, z := range zS {
-		zSet[ky.key(z)] = struct{}{}
-	}
-	size := 0
-	for _, z := range zR {
-		if _, hit := zSet[ky.key(z)]; hit {
-			size++
-		}
-	}
-	return &SizeResult{IntersectionSize: size, SenderSetSize: peerSize, SenderDataVersion: s.peerVersion}, nil
+	return &SizeResult{
+		IntersectionSize:  overlap(run.reply.a, run.zS, newKeyer(s.cfg.Group)),
+		SenderSetSize:     run.peerSize,
+		SenderDataVersion: s.peerVersion,
+	}, nil
 }
 
 // IntersectionSizeSender runs party S of the intersection-size protocol
 // of Section 5.1.1.
 func IntersectionSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return shardedIntersectionSizeSender(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
-	vS := dedup(values)
+	return execute(ctx, cfg, conn, protoIntersectionSize, false, dedup(values), nil, setSender, mergeSenderInfo)
+}
 
-	peerSize, err := s.handshake(ctx, wire.ProtoIntersectionSize, len(vS), false)
-	if err != nil {
-		return nil, err
+// mergeSizes folds per-shard sizes: the buckets are disjoint, so the
+// overlaps add.
+func mergeSizes(_ [][]byte, parts []*SizeResult, peerTotal int, peerVersion uint64) *SizeResult {
+	res := &SizeResult{SenderSetSize: peerTotal, SenderDataVersion: peerVersion}
+	for _, part := range parts {
+		res.IntersectionSize += part.IntersectionSize
 	}
-
-	// Steps 1-2 — replayed from the encrypted-set cache when this peer
-	// has queried this table version before.
-	eS, sortedYS, err := s.ownEncryptedSet(ctx, vS)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 3 (peer) + step 4(a): receive Y_R and ship Y_S sorted,
-	// full-duplex in streaming mode.
-	sp := obs.StartSpan(ctx, "exchange")
-	var yR []*big.Int
-	err = s.duplex(ctx, true,
-		func(ctx context.Context) error { return s.sendElems(ctx, sortedYS) },
-		func(ctx context.Context) error {
-			var rerr error
-			yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true)
-			return rerr
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 4(b): ship Z_R = f_eS(Y_R), *reordered lexicographically* so R
-	// cannot match encryptions back to its values.  Sorting needs the
-	// complete vector, so the encryption cannot overlap this send; the
-	// sorted result still streams out chunked.
-	sp = obs.StartSpan(ctx, "re-encrypt")
-	zR, err := s.encryptSet(ctx, eS, yR)
-	if err != nil {
-		sp.End()
-		return nil, s.abort(ctx, err)
-	}
-	err = s.sendElems(ctx, sortedCopy(zR))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerSize}, nil
+	return res
 }

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/big"
 
 	"minshare/internal/obs"
 	"minshare/internal/transport"
-	"minshare/internal/wire"
 )
 
 // JoinSizeResult is what party R learns from the equijoin-size protocol
@@ -30,6 +27,8 @@ type JoinSizeResult struct {
 	SenderDataVersion uint64
 }
 
+func (r *JoinSizeResult) peerSetSize() int { return r.SenderMultisetSize }
+
 // JoinSizeSenderInfo is what party S learns: |T_R.A| as a multiset and
 // the distribution of duplicates in T_R.A.
 type JoinSizeSenderInfo struct {
@@ -40,156 +39,86 @@ type JoinSizeSenderInfo struct {
 	ReceiverDuplicateDistribution map[int]int
 }
 
+func (i *JoinSizeSenderInfo) peerSetSize() int { return i.ReceiverMultisetSize }
+
 // EquijoinSizeReceiver runs party R of the equijoin-size protocol of
 // Section 5.2: the intersection-size protocol run on multisets, with the
 // join size computed in the final step.  values is T_R.A *with*
-// duplicates.
+// duplicates: equal values hash (and encrypt) to equal elements, so each
+// party sees the other's duplicate structure — the leak the paper
+// accepts for this protocol.
 func EquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeResult, error) {
-	if cfg.Shards > 1 {
-		return shardedEquijoinSizeReceiver(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
+	return execute(ctx, cfg, conn, protoEquijoinSize, true, values, nil, equijoinSizeReceiver, mergeJoinSizes)
+}
 
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoinSize, len(values), true)
+// equijoinSizeReceiver is step 6 as modified by Section 5.2: Σ over
+// distinct doubly-encrypted values of count_R · count_S.
+func equijoinSizeReceiver(ctx context.Context, s *session, p protocol, mR, _ [][]byte) (*JoinSizeResult, error) {
+	run, err := s.runReceiver(ctx, p, mR)
 	if err != nil {
 		return nil, err
 	}
-
-	// Steps 1-2 on the multiset: equal values hash (and encrypt) to equal
-	// elements, so S will see T_R.A's duplicate structure — the leak the
-	// paper accepts for this protocol.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(values)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// Step 3: send Y_R sorted.
-	sp = obs.StartSpan(ctx, "exchange")
-	if err := s.sendElems(ctx, sortedCopy(yR)); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4(a)+5 pipelined: receive Y_S (multiset) sorted and compute
-	// Z_S = f_eR(Y_S) chunk by chunk.
-	yS, zS, err := s.recvReencryptStream(ctx, eR, peerSize, "Y_S", true)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 4(b): receive Z_R sorted.
-	zR, err := s.recvElems(ctx, len(values), "Z_R", true)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6 (modified per Section 5.2): join size instead of
-	// intersection size — Σ over distinct doubly-encrypted values of
-	// count_R · count_S.
-	sp = obs.StartSpan(ctx, "match")
+	sp := obs.StartSpan(ctx, "match")
 	defer sp.End()
-	ky := s.newKeyer()
-	countR := multisetCountsKeyed(zR, ky)
-	countS := multisetCountsKeyed(zS, ky)
-	join := 0
-	for k, cR := range countR {
-		join += cR * countS[k]
-	}
-
+	ky := newKeyer(s.cfg.Group)
 	return &JoinSizeResult{
-		JoinSize:                    join,
-		SenderMultisetSize:          peerSize,
-		SenderDuplicateDistribution: DuplicateDistributionElems(yS),
+		JoinSize:                    overlap(run.reply.a, run.zS, ky),
+		SenderMultisetSize:          run.peerSize,
+		SenderDuplicateDistribution: duplicateDistribution(multisetCounts(run.peer.a, ky)),
 		SenderDataVersion:           s.peerVersion,
 	}, nil
 }
 
 // EquijoinSizeSender runs party S of the equijoin-size protocol of
-// Section 5.2.  values is T_S.A *with* duplicates.
+// Section 5.2.  values is T_S.A *with* duplicates.  (The cache slot is
+// per-protocol, so the multiset state never aliases the deduplicated
+// state of the set protocols.)
 func EquijoinSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeSenderInfo, error) {
-	if cfg.Shards > 1 {
-		return shardedEquijoinSizeSender(ctx, cfg, conn, values)
-	}
-	s := newSession(ctx, cfg, conn)
+	return execute(ctx, cfg, conn, protoEquijoinSize, false, values, nil, equijoinSizeSender, mergeJoinSizeInfos)
+}
 
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoinSize, len(values), false)
+func equijoinSizeSender(ctx context.Context, s *session, p protocol, mS, _ [][]byte) (*JoinSizeSenderInfo, error) {
+	run, err := s.runSender(ctx, p, mS, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	// Steps 1-2 on the multiset — replayed from the encrypted-set cache
-	// when this peer has queried this table version before.  The cache
-	// slot is per-protocol, so the multiset state never aliases the
-	// deduplicated state of the set protocols.
-	eS, sortedYS, err := s.ownEncryptedSet(ctx, values)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 3 (peer) + step 4(a): receive Y_R (multiset) and ship Y_S
-	// sorted, full-duplex in streaming mode.
-	sp := obs.StartSpan(ctx, "exchange")
-	var yR []*big.Int
-	err = s.duplex(ctx, true,
-		func(ctx context.Context) error { return s.sendElems(ctx, sortedYS) },
-		func(ctx context.Context) error {
-			var rerr error
-			yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true)
-			return rerr
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 4(b): ship Z_R sorted.  Sorting needs the complete vector,
-	// so only the send itself streams.
-	sp = obs.StartSpan(ctx, "re-encrypt")
-	zR, err := s.encryptSet(ctx, eS, yR)
-	if err != nil {
-		sp.End()
-		return nil, s.abort(ctx, err)
-	}
-	err = s.sendElems(ctx, sortedCopy(zR))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
 	return &JoinSizeSenderInfo{
-		ReceiverMultisetSize:          peerSize,
-		ReceiverDuplicateDistribution: DuplicateDistributionElems(yR),
+		ReceiverMultisetSize:          run.peerSize,
+		ReceiverDuplicateDistribution: duplicateDistribution(multisetCounts(run.yR, newKeyer(s.cfg.Group))),
 	}, nil
 }
 
-// multisetCounts tallies occurrences of each element.
-func multisetCounts(elems []*big.Int) map[string]int {
-	out := make(map[string]int, len(elems))
-	for _, e := range elems {
-		out[elemKey(e)]++
+// Distinct values never span shards, so per-shard join sizes add and the
+// per-shard duplicate distributions, being over disjoint value sets,
+// merge by addition too.
+
+func mergeJoinSizes(_ [][]byte, parts []*JoinSizeResult, peerTotal int, peerVersion uint64) *JoinSizeResult {
+	res := &JoinSizeResult{SenderMultisetSize: peerTotal, SenderDuplicateDistribution: make(map[int]int), SenderDataVersion: peerVersion}
+	for _, part := range parts {
+		res.JoinSize += part.JoinSize
+		addDistribution(res.SenderDuplicateDistribution, part.SenderDuplicateDistribution)
 	}
-	return out
+	return res
 }
 
-// DuplicateDistributionElems maps duplicate count d to the number of
-// distinct elements occurring exactly d times — the "distribution of
-// duplicates" of Section 5.2 as observed from an encrypted multiset.
-func DuplicateDistributionElems(elems []*big.Int) map[int]int {
-	counts := multisetCounts(elems)
+func mergeJoinSizeInfos(_ [][]byte, parts []*JoinSizeSenderInfo, peerTotal int, _ uint64) *JoinSizeSenderInfo {
+	info := &JoinSizeSenderInfo{ReceiverMultisetSize: peerTotal, ReceiverDuplicateDistribution: make(map[int]int)}
+	for _, part := range parts {
+		addDistribution(info.ReceiverDuplicateDistribution, part.ReceiverDuplicateDistribution)
+	}
+	return info
+}
+
+func addDistribution(into, from map[int]int) {
+	for d, n := range from {
+		into[d] += n
+	}
+}
+
+// duplicateDistribution maps duplicate count d to the number of distinct
+// keys occurring exactly d times — the "distribution of duplicates" of
+// Section 5.2.
+func duplicateDistribution(counts map[string]int) map[int]int {
 	dist := make(map[int]int)
 	for _, c := range counts {
 		dist[c]++
@@ -197,16 +126,13 @@ func DuplicateDistributionElems(elems []*big.Int) map[int]int {
 	return dist
 }
 
-// DuplicateDistributionValues is DuplicateDistributionElems for plaintext
-// application values; the leakage analysis compares the two.
+// DuplicateDistributionValues is the duplicate distribution of plaintext
+// application values; the leakage analysis compares it with what the
+// protocol's encrypted multisets reveal.
 func DuplicateDistributionValues(values [][]byte) map[int]int {
 	counts := make(map[string]int, len(values))
 	for _, v := range values {
 		counts[string(v)]++
 	}
-	dist := make(map[int]int)
-	for _, c := range counts {
-		dist[c]++
-	}
-	return dist
+	return duplicateDistribution(counts)
 }

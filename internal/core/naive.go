@@ -39,27 +39,18 @@ func NaiveHashReceiver(ctx context.Context, cfg Config, conn transport.Conn, val
 
 	// Step 2 (peer): S sends its hashed set X_S.
 	sp := obs.StartSpan(ctx, "exchange")
-	m, err := s.recv(ctx, wire.KindElements)
+	m, err := s.recvAny(ctx, wire.KindElements)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	xS := m.(wire.Elements).Elems
 
-	// Step 3: set aside all v ∈ V_R with h(v) ∈ X_S.
+	// Step 3: set aside all v ∈ V_R with h(v) ∈ X_S — the dictionary
+	// attack with R's own set as the dictionary.
 	sp = obs.StartSpan(ctx, "match")
 	defer sp.End()
-	inXS := make(map[string]struct{}, len(xS))
-	for _, x := range xS {
-		inXS[elemKey(x)] = struct{}{}
-	}
-	res := &NaiveResult{HashedSenderSet: xS}
-	for _, v := range vR {
-		if _, hit := inXS[elemKey(s.cfg.Oracle.Hash(v))]; hit {
-			res.Values = append(res.Values, v)
-		}
-	}
-	return res, nil
+	return &NaiveResult{Values: NaiveDictionaryAttack(s.cfg.Oracle, xS, vR), HashedSenderSet: xS}, nil
 }
 
 // NaiveHashSender runs party S of the Section 3.1 protocol: it ships
@@ -90,13 +81,11 @@ func NaiveHashSender(ctx context.Context, cfg Config, conn transport.Conn, value
 // (provably) a member of V_S.  "If the domain V is small, R can
 // exhaustively go over all possible values and completely learn V_S."
 func NaiveDictionaryAttack(o *oracle.Oracle, hashedSenderSet []*big.Int, domain [][]byte) [][]byte {
-	inXS := make(map[string]struct{}, len(hashedSenderSet))
-	for _, x := range hashedSenderSet {
-		inXS[elemKey(x)] = struct{}{}
-	}
+	ky := newKeyer(o.Backend())
+	inXS := multisetCounts(hashedSenderSet, ky)
 	var recovered [][]byte
 	for _, candidate := range domain {
-		if _, hit := inXS[elemKey(o.Hash(candidate))]; hit {
+		if inXS[ky.key(o.Hash(candidate))] > 0 {
 			recovered = append(recovered, candidate)
 		}
 	}

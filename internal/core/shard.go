@@ -10,7 +10,6 @@ import (
 
 	"minshare/internal/obs"
 	"minshare/internal/transport"
-	"minshare/internal/wire"
 )
 
 // Shard-parallel protocol execution.
@@ -109,15 +108,6 @@ func shardConfig(cfg Config, i, k int) Config {
 	return cfg
 }
 
-// checkShardCount validates a coordinator's configured shard count
-// before any traffic is exchanged.
-func checkShardCount(k int) error {
-	if k < 2 || k > transport.MaxShards {
-		return fmt.Errorf("core: shard count %d out of range [2, %d]", k, transport.MaxShards)
-	}
-	return nil
-}
-
 // shardFanout runs one sub-protocol per shard concurrently and gathers
 // their results.  The first failure cancels every sibling — sub-session
 // sends and receives observe the fan-out context, and the failing
@@ -160,331 +150,64 @@ func shardFanout[R any](ctx context.Context, k int, run func(ctx context.Context
 	return results, nil
 }
 
-// shardSession opens a sharded run: outer handshake on the raw conn
-// (announcing the total size and the shard count), then the mux.  The
-// returned mux is started; the caller must Stop it.  No frame may touch
-// the raw conn after this returns.
-func shardSession(ctx context.Context, outer *session, proto wire.Protocol, mySize int, sendFirst bool, conn transport.Conn) (peerTotal int, mux *transport.Mux, err error) {
-	peerTotal, err = outer.handshake(ctx, proto, mySize, sendFirst)
-	if err != nil {
-		return 0, nil, err
+// merger folds the k per-shard results of a role back into the
+// unsharded result shape.  in is the coordinator's full (prepared) input,
+// for merges that restore input order; peerTotal and peerVersion are
+// what the peer's outer handshake announced.
+type merger[R sized] func(in [][]byte, parts []R, peerTotal int, peerVersion uint64) R
+
+// runSharded is the shard coordinator of every protocol and role: outer
+// handshake on the raw conn (announcing the total size and the shard
+// count), the mux — after which no frame touches the raw conn —
+// partition by hash prefix, one sub-run of the role per bucket, the
+// size-sum check, and the merge.
+func runSharded[R sized](ctx context.Context, cfg Config, conn transport.Conn, p protocol, sendFirst bool, vs, exts [][]byte, run role[R], merge merger[R]) (R, error) {
+	var zero R
+	k := cfg.Shards
+	if k < 2 || k > transport.MaxShards {
+		return zero, fmt.Errorf("core: shard count %d out of range [2, %d]", k, transport.MaxShards)
 	}
-	mux, err = transport.NewMux(conn, outer.cfg.Shards)
+	outer := newSession(ctx, cfg, conn)
+	peerTotal, err := outer.handshake(ctx, p.proto, len(vs), sendFirst)
 	if err != nil {
-		return 0, nil, outer.abort(ctx, err)
+		return zero, err
+	}
+	mux, err := transport.NewMux(conn, k)
+	if err != nil {
+		return zero, outer.abort(ctx, err)
 	}
 	mux.Start()
-	return peerTotal, mux, nil
-}
+	defer mux.Stop()
 
-// checkShardSizeSum verifies that the per-shard sizes the peer's
-// sub-handshakes announced add up to the total its outer handshake
-// declared.  A mismatch means the peer partitioned a different set
-// than it announced (or partitioned dishonestly); the session fails
-// rather than returning a result built from inconsistent claims.
-func checkShardSizeSum(sizes []int, total int) error {
+	buckets, indices := outer.shardPartition(vs, k)
+	extBuckets := make([][][]byte, k)
+	if exts != nil {
+		for sh, idx := range indices {
+			extBuckets[sh] = make([][]byte, len(idx))
+			for j, i := range idx {
+				extBuckets[sh][j] = exts[i]
+			}
+		}
+	}
+	base := shardBaseConfig(cfg)
+	parts, err := shardFanout(ctx, k, func(ctx context.Context, i int) (R, error) {
+		return run(ctx, newSession(ctx, shardConfig(base, i, k), mux.Shard(i)), p, buckets[i], extBuckets[i])
+	})
+	if err != nil {
+		return zero, err
+	}
+
+	// The per-shard sizes the peer's sub-handshakes announced must add up
+	// to the total its outer handshake declared.  A mismatch means the
+	// peer partitioned a different set than it announced (or partitioned
+	// dishonestly); fail rather than build a result from inconsistent
+	// claims.
 	sum := 0
-	for _, n := range sizes {
-		sum += n
+	for _, part := range parts {
+		sum += part.peerSetSize()
 	}
-	if sum != total {
-		return fmt.Errorf("%w: peer shard sizes sum to %d, its handshake announced %d", ErrMalformedReply, sum, total)
+	if sum != peerTotal {
+		return zero, fmt.Errorf("%w: peer shard sizes sum to %d, its handshake announced %d", ErrMalformedReply, sum, peerTotal)
 	}
-	return nil
-}
-
-// valueIndex maps each (distinct) value to its position in vs.
-func valueIndex(vs [][]byte) map[string]int {
-	idx := make(map[string]int, len(vs))
-	for i, v := range vs {
-		idx[string(v)] = i
-	}
-	return idx
-}
-
-// --- Intersection ---
-
-func shardedIntersectionReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*IntersectionResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoIntersection, len(vR), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*IntersectionResult, error) {
-		return IntersectionReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.SenderSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-
-	// Merge back into R's input order: buckets partition vR, so each
-	// match names a unique input position.
-	idx := valueIndex(vR)
-	matched := make([]bool, len(vR))
-	for _, r := range results {
-		for _, v := range r.Values {
-			matched[idx[string(v)]] = true
-		}
-	}
-	res := &IntersectionResult{SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}
-	for i, v := range vR {
-		if matched[i] {
-			res.Values = append(res.Values, v)
-		}
-	}
-	return res, nil
-}
-
-func shardedIntersectionSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	return shardedSetSender(ctx, cfg, conn, values, wire.ProtoIntersection, IntersectionSender)
-}
-
-// shardedSetSender is the shared sender-side coordinator for the three
-// protocols whose sender learns only |V_R|: partition the (deduplicated)
-// own set, fan out, and verify the peer's per-shard sizes against its
-// announced total.
-func shardedSetSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte, proto wire.Protocol, sender func(context.Context, Config, transport.Conn, [][]byte) (*SenderInfo, error)) (*SenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vS := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, proto, len(vS), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vS, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SenderInfo, error) {
-		return sender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.ReceiverSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerTotal}, nil
-}
-
-// --- Intersection size ---
-
-func shardedIntersectionSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SizeResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoIntersectionSize, len(vR), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SizeResult, error) {
-		return IntersectionSizeReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	size := 0
-	for i, r := range results {
-		sizes[i] = r.SenderSetSize
-		size += r.IntersectionSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SizeResult{IntersectionSize: size, SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}, nil
-}
-
-func shardedIntersectionSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	return shardedSetSender(ctx, cfg, conn, values, wire.ProtoIntersectionSize, IntersectionSizeSender)
-}
-
-// --- Equijoin ---
-
-func shardedEquijoinReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoin, len(vR), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinResult, error) {
-		return EquijoinReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.SenderSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-
-	idx := valueIndex(vR)
-	matched := make([]*JoinMatch, len(vR))
-	for _, r := range results {
-		for j := range r.Matches {
-			m := r.Matches[j]
-			matched[idx[string(m.Value)]] = &m
-		}
-	}
-	res := &JoinResult{SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}
-	for _, m := range matched {
-		if m != nil {
-			res.Matches = append(res.Matches, *m)
-		}
-	}
-	return res, nil
-}
-
-func shardedEquijoinSender(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	// Dedup (and detect conflicting payloads) before partitioning so the
-	// outer handshake announces |V_S| of the same set the buckets cover.
-	vS, exts, err := dedupRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoin, len(vS), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, indices := outer.shardPartition(vS, cfg.Shards)
-	recBuckets := make([][]JoinRecord, cfg.Shards)
-	for sh := range buckets {
-		recs := make([]JoinRecord, len(buckets[sh]))
-		for j, i := range indices[sh] {
-			recs[j] = JoinRecord{Value: vS[i], Ext: exts[i]}
-		}
-		recBuckets[sh] = recs
-	}
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SenderInfo, error) {
-		return EquijoinSender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), recBuckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.ReceiverSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerTotal}, nil
-}
-
-// --- Equijoin size (multisets) ---
-
-func shardedEquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	// Multiset protocol: no dedup — every copy of a value partitions to
-	// the same bucket, so each bucket is the full sub-multiset.
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoinSize, len(values), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(values, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinSizeResult, error) {
-		return EquijoinSizeReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	res := &JoinSizeResult{
-		SenderMultisetSize:          peerTotal,
-		SenderDuplicateDistribution: make(map[int]int),
-		SenderDataVersion:           outer.peerVersion,
-	}
-	for i, r := range results {
-		sizes[i] = r.SenderMultisetSize
-		res.JoinSize += r.JoinSize
-		// Distinct values never span shards, so the per-shard duplicate
-		// distributions are disjoint and merge by addition.
-		for d, n := range r.SenderDuplicateDistribution {
-			res.SenderDuplicateDistribution[d] += n
-		}
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func shardedEquijoinSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeSenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoinSize, len(values), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(values, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinSizeSenderInfo, error) {
-		return EquijoinSizeSender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	info := &JoinSizeSenderInfo{
-		ReceiverMultisetSize:          peerTotal,
-		ReceiverDuplicateDistribution: make(map[int]int),
-	}
-	for i, r := range results {
-		sizes[i] = r.ReceiverMultisetSize
-		for d, n := range r.ReceiverDuplicateDistribution {
-			info.ReceiverDuplicateDistribution[d] += n
-		}
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return info, nil
+	return merge(vs, parts, peerTotal, outer.peerVersion), nil
 }

@@ -17,6 +17,22 @@ import (
 // both sides, never a partial result — and every goroutine the
 // coordinator, the fan-out, and the mux spawned must drain.
 
+// openShards is the opening of runSharded — outer handshake, then the
+// mux — for the hand-driven hostile senders below, which then run (or
+// withhold, or falsify) the per-shard sub-sessions themselves.  The
+// returned mux is started; the caller must Stop it.
+func openShards(ctx context.Context, outer *session, announce int, conn transport.Conn) (*transport.Mux, error) {
+	if _, err := outer.handshake(ctx, wire.ProtoIntersection, announce, false); err != nil {
+		return nil, err
+	}
+	mux, err := transport.NewMux(conn, outer.cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	mux.Start()
+	return mux, nil
+}
+
 // settleGoroutines waits for the goroutine count to return to base,
 // failing the test with a full stack dump if it does not.
 func settleGoroutines(t *testing.T, base int) {
@@ -56,7 +72,7 @@ func TestShardedWireErrorFailsAtomically(t *testing.T) {
 			cfg := shardedConfig(2, k, 0)
 			outer := newSession(ctx, cfg, connS)
 			vs := dedup(vS)
-			_, mux, err := shardSession(ctx, outer, wire.ProtoIntersection, len(vs), false, connS)
+			mux, err := openShards(ctx, outer, len(vs), connS)
 			if err != nil {
 				return err
 			}
@@ -117,7 +133,7 @@ func TestShardedStallFailsAtomically(t *testing.T) {
 			cfg := shardedConfig(2, k, 0)
 			outer := newSession(sctx, cfg, connS)
 			vs := dedup(vS)
-			_, mux, err := shardSession(sctx, outer, wire.ProtoIntersection, len(vs), false, connS)
+			mux, err := openShards(sctx, outer, len(vs), connS)
 			if err != nil {
 				return err
 			}
@@ -198,7 +214,7 @@ func TestShardedSizeSumMismatchRejected(t *testing.T) {
 			outer := newSession(ctx, cfg, connS)
 			vs := dedup(vS)
 			// The lie: announce three phantom values.
-			_, mux, err := shardSession(ctx, outer, wire.ProtoIntersection, len(vs)+3, false, connS)
+			mux, err := openShards(ctx, outer, len(vs)+3, connS)
 			if err != nil {
 				return err
 			}

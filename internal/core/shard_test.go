@@ -20,6 +20,15 @@ func shardedConfig(seed int64, shards, chunk int) Config {
 	return cfg
 }
 
+// valueIndex maps each (distinct) value to its position in vs.
+func valueIndex(vs [][]byte) map[string]int {
+	idx := make(map[string]int, len(vs))
+	for i, v := range vs {
+		idx[string(v)] = i
+	}
+	return idx
+}
+
 func TestShardedIntersectionMatchesUnsharded(t *testing.T) {
 	const nR, nS, shared = 23, 19, 9
 	vR, vS := overlapping(nR, nS, shared)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"minshare/internal/commutative"
 	"minshare/internal/obs"
 	"minshare/internal/transport"
 	"minshare/internal/wire"
@@ -25,20 +24,85 @@ var ErrSubscriptionEnded = errors.New("core: subscription ended")
 // re-run the protocol instead.
 var errStandingSharded = errors.New("core: standing queries require an unsharded session (Shards <= 1)")
 
-// StandingIntersection is party R's half of a standing intersection
-// query (the subscription variant of Section 3.3): after the base run,
-// R retains its session state — e_R, the sorted permutation, its own
-// double encryptions, and the Z_S membership set — and folds each
-// SubUpdate the sender pushes into the result for O(churn)
-// exponentiations instead of an O(|V_S|+|V_R|) re-run.
+// standingState is what a standing query retains between pushes: the
+// protocol's receiver-side match state, able to fold one pushed update
+// into itself and to evaluate the current answer.  fold's errors abort
+// the session.
+type standingState[R any] interface {
+	fold(ctx context.Context, s *session, u wire.SubUpdate) error
+	result(peerVersion uint64) R
+}
+
+// stateBuilder is a protocol's match rule: it turns what the engine
+// received into that state (and, evaluated once, into the one-shot
+// result).
+type stateBuilder[R any] func(ctx context.Context, s *session, run *receiverRun) (standingState[R], error)
+
+// oneShot is the receiver role of a protocol that also has a standing
+// form: run the engine, build the match state, evaluate it once.
+func oneShot[R sized](build stateBuilder[R]) role[R] {
+	return func(ctx context.Context, s *session, p protocol, vR, _ [][]byte) (R, error) {
+		var zero R
+		run, err := s.runReceiver(ctx, p, vR)
+		if err != nil {
+			return zero, err
+		}
+		st, err := build(ctx, s, run)
+		if err != nil {
+			return zero, err
+		}
+		return st.result(s.peerVersion), nil
+	}
+}
+
+// StandingQuery is party R's half of a standing query (the subscription
+// variant of a protocol): after the base run R retains its match state
+// and folds each SubUpdate the sender pushes into the result for
+// O(churn) work instead of an O(|V_S|+|V_R|) re-run.
 //
-// A StandingIntersection is not safe for concurrent use.
-type StandingIntersection struct {
+// The intersection retains e_R, the sorted permutation, its own double
+// encryptions and the Z_S membership set, and pays (nIns+nDel)
+// encryptions per update; the equijoin retains the match index keyed by
+// f_eS(h(v)) with its per-position κ values, so a pushed delta costs it
+// no exponentiations at all and one payload decryption per changed
+// match.
+//
+// A StandingQuery is not safe for concurrent use.
+type StandingQuery[R any] struct {
 	s       *session
-	st      *intersectionState
-	res     *IntersectionResult
+	st      standingState[R]
+	res     R
 	version uint64
 	closed  bool
+}
+
+// StandingIntersection is a standing intersection query (Section 3.3).
+type StandingIntersection = StandingQuery[*IntersectionResult]
+
+// StandingJoin is a standing equijoin query (Section 4.3).
+type StandingJoin = StandingQuery[*JoinResult]
+
+// subscribe runs party R of protocol p exactly as the one-shot receiver
+// does, then subscribes to the sender's deltas instead of hanging up.
+func subscribe[R any](ctx context.Context, cfg Config, conn transport.Conn, p protocol, vR [][]byte, build stateBuilder[R]) (*StandingQuery[R], error) {
+	if cfg.Shards > 1 {
+		return nil, errStandingSharded
+	}
+	s := newSession(ctx, cfg, conn)
+	run, err := s.runReceiver(ctx, p, vR)
+	if err != nil {
+		return nil, err
+	}
+	st, err := build(ctx, s, run)
+	if err != nil {
+		return nil, err
+	}
+	q := &StandingQuery[R]{s: s, st: st, version: s.peerVersion}
+	q.res = st.result(q.version)
+	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // IntersectionReceiverStanding runs party R of the intersection
@@ -47,117 +111,98 @@ type StandingIntersection struct {
 // sender (IntersectionSenderStanding); against a plain sender the
 // subscribe frame dies with the connection and Await fails.
 func IntersectionReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*StandingIntersection, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	s := newSession(ctx, cfg, conn)
-	st, err := s.intersectionReceiverRun(ctx, dedup(values))
-	if err != nil {
-		return nil, err
-	}
-	q := &StandingIntersection{s: s, st: st, version: s.peerVersion}
-	q.res = st.result(q.version)
-	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return subscribe(ctx, cfg, conn, protoIntersection, dedup(values), newIntersectionState)
 }
 
-// Result returns the intersection as of the last applied update (the
-// base run's result before the first Await).
-func (q *StandingIntersection) Result() *IntersectionResult { return q.res }
+// EquijoinReceiverStanding runs party R of the equijoin protocol
+// exactly as EquijoinReceiver does, then subscribes to the sender's
+// deltas.  The sender must be EquijoinSenderStanding.
+func EquijoinReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*StandingJoin, error) {
+	return subscribe(ctx, cfg, conn, protoEquijoin, dedup(values), newEquijoinState)
+}
+
+// Result returns the answer as of the last applied update (the base
+// run's result before the first Await).
+func (q *StandingQuery[R]) Result() R { return q.res }
 
 // Version returns the sender data version the current result reflects.
-func (q *StandingIntersection) Version() uint64 { return q.version }
+func (q *StandingQuery[R]) Version() uint64 { return q.version }
 
 // Await blocks for the next pushed update, folds it into the retained
 // state, acknowledges it, and returns the refreshed result.  It returns
 // ErrSubscriptionEnded when the sender closes the subscription.
-//
-// Per update the receiver performs exactly (nIns+nDel) encryptions —
-// stripping nothing, adding its e_R layer to each pushed f_eS(h(v)) so
-// it lands in the double-encrypted domain of the retained Z_S set —
-// and no oracle hashes (costmodel.IntersectionUpdateOps).
-func (q *StandingIntersection) Await(ctx context.Context) (*IntersectionResult, error) {
+func (q *StandingQuery[R]) Await(ctx context.Context) (R, error) {
+	var none R
 	if q.closed {
-		return nil, ErrSubscriptionEnded
+		return none, ErrSubscriptionEnded
 	}
-	m, err := q.s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
+	s := q.s
+	m, err := s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	if _, ended := m.(wire.SubEnd); ended {
 		q.closed = true
-		return nil, ErrSubscriptionEnded
+		return none, ErrSubscriptionEnded
 	}
 	u := m.(wire.SubUpdate)
 
 	var start time.Time
-	if q.s.lat != nil {
+	if s.lat != nil {
 		start = time.Now()
 	}
-	s, st := q.s, q.st
 	if u.From != q.version || u.To <= u.From {
-		return nil, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
+		return none, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
 			ErrMalformedReply, u.From, u.To, q.version))
 	}
-	if u.HasExt {
-		return nil, s.abort(ctx, fmt.Errorf("%w: ext payloads in an intersection sub update", ErrMalformedReply))
-	}
-	if err := s.checkElems(ctx, u.Upserts, -1, "pushed inserts", true); err != nil {
-		return nil, s.abort(ctx, err)
+	if err := s.checkElems(ctx, u.Upserts, -1, "pushed upserts", true); err != nil {
+		return none, s.abort(ctx, err)
 	}
 	if err := s.checkElems(ctx, u.Deleted, -1, "pushed deletes", true); err != nil {
-		return nil, s.abort(ctx, err)
+		return none, s.abort(ctx, err)
 	}
-
-	// Lift each pushed f_eS(h(v)) into the double-encrypted domain with
-	// the retained e_R — by commutativity f_eR(f_eS(h(v))) is exactly the
-	// Z_S representation — then update membership by map surgery.
-	ins, err := s.encryptSet(ctx, st.eR, u.Upserts)
-	if err != nil {
-		return nil, s.abort(ctx, err)
+	if err := q.st.fold(ctx, s, u); err != nil {
+		return none, s.abort(ctx, err)
 	}
-	del, err := s.encryptSet(ctx, st.eR, u.Deleted)
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	for _, z := range ins {
-		k := st.ky.key(z)
-		if _, dup := st.zSet[k]; dup {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed insert already present", ErrMalformedReply))
-		}
-		st.zSet[k] = struct{}{}
-	}
-	for _, z := range del {
-		k := st.ky.key(z)
-		if _, ok := st.zSet[k]; !ok {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed delete not present", ErrMalformedReply))
-		}
-		delete(st.zSet, k)
-	}
-	st.peerSize += len(ins) - len(del)
 	q.version = u.To
 
 	if err := s.send(ctx, wire.SubAck{Version: u.To}); err != nil {
-		return nil, err
+		return none, err
 	}
 	if s.lat != nil {
 		s.lat.Record(obs.LatDeltaApply, time.Since(start))
 	}
-	q.res = st.result(q.version)
+	q.res = q.st.result(q.version)
 	return q.res, nil
 }
 
 // Close unsubscribes: the sender sees the SubEnd (or the closed
 // connection) and stops pushing.  Safe to call after the subscription
 // already ended.
-func (q *StandingIntersection) Close(ctx context.Context) error {
+func (q *StandingQuery[R]) Close(ctx context.Context) error {
 	if q.closed {
 		return nil
 	}
 	q.closed = true
 	return q.s.send(ctx, wire.SubEnd{Code: wire.SubEndClient})
+}
+
+// standingSender runs party S of protocol p exactly as the one-shot
+// sender does, then serves the peer's standing query under the pinned
+// key(s) of the set it just shipped.
+func standingSender(ctx context.Context, cfg Config, conn transport.Conn, p protocol, vS, exts [][]byte) (*SenderInfo, error) {
+	if cfg.Shards > 1 {
+		return nil, errStandingSharded
+	}
+	if cfg.DeltaSource == nil {
+		return nil, errors.New("core: standing sender requires a DeltaSource")
+	}
+	s := newSession(ctx, cfg, conn)
+	run, err := s.runSender(ctx, p, vS, exts)
+	if err != nil {
+		return nil, err
+	}
+	return &SenderInfo{ReceiverSetSize: run.peerSize}, s.serveSubscription(ctx, run.own)
 }
 
 // IntersectionSenderStanding runs party S of the intersection protocol
@@ -173,22 +218,20 @@ func (q *StandingIntersection) Close(ctx context.Context) error {
 // sender ends the subscription because a delta is unavailable or over
 // the churn bound (nil error after a SubEnd push), or when ctx ends.
 func IntersectionSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	if cfg.DeltaSource == nil {
-		return nil, errors.New("core: standing sender requires a DeltaSource")
-	}
-	s := newSession(ctx, cfg, conn)
-	info, eS, sortedYS, err := s.intersectionSenderRun(ctx, dedup(values))
+	return standingSender(ctx, cfg, conn, protoIntersection, dedup(values), nil)
+}
+
+// EquijoinSenderStanding runs party S of the equijoin protocol exactly
+// as EquijoinSender does, then serves the peer's standing query with
+// one SubUpdate per version step: upserted values ship as
+// ⟨f_eS(h(v)), K(κ(v), ext(v))⟩ under the pinned keys, deletes as bare
+// f_eS(h(v)).  cfg.DeltaSource must be non-nil.
+func EquijoinSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
+	vS, exts, err := dedupRecords(records)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := commutative.CachedSetFromSorted(eS, sortedYS, nil)
-	if err != nil {
-		return info, fmt.Errorf("core: retaining encrypted set: %w", err)
-	}
-	return info, s.serveSubscription(ctx, cs, nil, false)
+	return standingSender(ctx, cfg, conn, protoEquijoin, vS, exts)
 }
 
 // subRecvErr classifies an error from receiving a subscription-phase
@@ -211,22 +254,26 @@ func subRecvErr(ctx context.Context, err error) error {
 // serveSubscription is the sender-side push loop shared by the standing
 // intersection and equijoin: wait for the Subscribe, then alternate
 // between watching the DeltaSource and pushing one SubUpdate per version
-// step, maintaining the retained encrypted set by ApplyDelta.  hasExt
-// selects the equijoin shape (upserts carry payload ciphertexts under
-// extKey); cs is the retained set as of cfg.DataVersion.
-func (s *session) serveSubscription(ctx context.Context, cs *commutative.CachedSet, extKey *commutative.Key, hasExt bool) error {
+// step, maintaining the retained encrypted set by applySetDelta.  own is
+// the set as of cfg.DataVersion; in the equijoin shape upserts carry
+// their payload ciphertexts.
+func (s *session) serveSubscription(ctx context.Context, own *CacheEntry) error {
 	src := s.cfg.DeltaSource
 	cur := s.cfg.DataVersion
+	// endByServer closes a subscription the sender can no longer serve
+	// incrementally; the receiver re-runs the protocol to continue.
+	endByServer := func() error {
+		_ = s.send(ctx, wire.SubEnd{Code: wire.SubEndServer})
+		return nil
+	}
 
 	m, err := s.recvAny(ctx, wire.KindSubscribe)
 	if err != nil {
 		return subRecvErr(ctx, err)
 	}
 	if sub := m.(wire.Subscribe); sub.FromVersion != cur {
-		// The peer subscribed from a version this session did not serve —
-		// nothing incremental can be promised.
-		_ = s.send(ctx, wire.SubEnd{Code: wire.SubEndServer})
-		return nil
+		// The peer subscribed from a version this session did not serve.
+		return endByServer()
 	}
 
 	// One pump goroutine owns the connection's receive side for the rest
@@ -279,13 +326,12 @@ func (s *session) serveSubscription(ctx context.Context, cs *commutative.CachedS
 
 		d, ok := src.DeltaSince(cur)
 		if !ok || d.From != cur || d.To <= cur {
-			_ = s.send(ctx, wire.SubEnd{Code: wire.SubEndServer})
-			return nil
+			return endByServer()
 		}
-		next, u, ok := s.pushDelta(ctx, cs, extKey, hasExt, d)
-		if !ok {
-			_ = s.send(ctx, wire.SubEnd{Code: wire.SubEndServer})
-			return nil
+		next, u, err := s.pushDelta(ctx, own, d)
+		if err != nil {
+			// Over the churn bound, or in conflict with the retained set.
+			return endByServer()
 		}
 
 		var start time.Time
@@ -318,235 +364,28 @@ func (s *session) serveSubscription(ctx context.Context, cs *commutative.CachedS
 			return ctx.Err()
 		}
 
-		cs, cur = next, d.To
+		own, cur = next, d.To
 		if s.cfg.SetCache != nil {
 			// Keep the peer's cache slot current so a later one-shot session
 			// at this version starts warm.
 			k := s.cfg.CacheKey
 			k.Version = cur
-			s.cfg.SetCache.Put(k, &CacheEntry{Set: cs, ExtKey: extKey})
+			s.cfg.SetCache.Put(k, own)
 		}
 	}
 }
 
 // pushDelta turns one SetDelta into the upgraded retained set and the
-// SubUpdate that ships it, paying exactly the sender half of
-// costmodel.IntersectionUpdateOps / JoinUpdateOps: hash the churn, one
-// encryption per churned value under the pinned e_S (plus, for the
-// equijoin, one κ encryption and one payload encryption per upsert).
-// ok is false when the delta exceeds the churn bound or conflicts with
-// the retained set — the caller ends the subscription.
-func (s *session) pushDelta(ctx context.Context, cs *commutative.CachedSet, extKey *commutative.Key, hasExt bool, d SetDelta) (*commutative.CachedSet, wire.SubUpdate, bool) {
-	var insV, updV, insExt, updExt [][]byte
-	for _, r := range d.Inserted {
-		insV = append(insV, r.Value)
-		insExt = append(insExt, r.Ext)
-	}
-	if hasExt {
-		// Ext-only updates matter only when payloads ride along; the set
-		// protocols skip them — membership is unchanged.
-		for _, r := range d.Updated {
-			updV = append(updV, r.Value)
-			updExt = append(updExt, r.Ext)
-		}
-	}
-	churn := len(insV) + len(updV) + len(d.Deleted)
-	if s.cfg.DeltaChurnMax >= 0 && float64(churn) > s.cfg.DeltaChurnMax*float64(cs.Len()+len(insV)) {
-		return nil, wire.SubUpdate{}, false
-	}
-
-	all := make([][]byte, 0, churn)
-	all = append(all, insV...)
-	all = append(all, updV...)
-	all = append(all, d.Deleted...)
-	hs, err := s.hashSet(all)
+// SubUpdate that ships it: the C_e spent re-encrypting the churn is paid
+// once for both.
+func (s *session) pushDelta(ctx context.Context, own *CacheEntry, d SetDelta) (*CacheEntry, wire.SubUpdate, error) {
+	next, cd, err := s.applySetDelta(ctx, own, d, own.Set.Len()+len(d.Inserted))
 	if err != nil {
-		return nil, wire.SubUpdate{}, false
+		return nil, wire.SubUpdate{}, err
 	}
-	insH := hs[:len(insV)]
-	updH := hs[len(insV) : len(insV)+len(updV)]
-	delH := hs[len(insV)+len(updV):]
-
-	var insP, updP [][]byte
-	if hasExt {
-		insP, err = s.encryptExts(ctx, extKey, insH, insExt)
-		if err == nil {
-			updP, err = s.encryptExts(ctx, extKey, updH, updExt)
-		}
-		if err != nil {
-			return nil, wire.SubUpdate{}, false
-		}
-	}
-	next, cd, err := cs.ApplyDelta(ctx, s.cfg.Scheme, insH, updH, delH, insP, updP, s.cfg.Parallelism)
-	if err != nil {
-		return nil, wire.SubUpdate{}, false
-	}
-
-	u := wire.SubUpdate{From: d.From, To: d.To, HasExt: hasExt, Deleted: cd.Deleted}
-	if hasExt {
+	u := wire.SubUpdate{From: d.From, To: d.To, HasExt: own.hasExt(), Upserts: cd.Inserted, Deleted: cd.Deleted}
+	if u.HasExt {
 		u.Upserts, u.UpsertExt = cd.Upserts()
-	} else {
-		u.Upserts = cd.Inserted
 	}
-	return next, u, true
-}
-
-// StandingJoin is party R's half of a standing equijoin query: after
-// the base run, R retains the match index keyed by f_eS(h(v)) together
-// with its per-position κ values, so a pushed delta costs it NO
-// exponentiations at all — the pushed elements are already in the
-// index's key domain — and one payload decryption per changed match.
-//
-// A StandingJoin is not safe for concurrent use.
-type StandingJoin struct {
-	s       *session
-	st      *equijoinState
-	res     *JoinResult
-	version uint64
-	closed  bool
-}
-
-// EquijoinReceiverStanding runs party R of the equijoin protocol
-// exactly as EquijoinReceiver does, then subscribes to the sender's
-// deltas.  The sender must be EquijoinSenderStanding.
-func EquijoinReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*StandingJoin, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	s := newSession(ctx, cfg, conn)
-	st, err := s.equijoinReceiverRun(ctx, dedup(values))
-	if err != nil {
-		return nil, err
-	}
-	q := &StandingJoin{s: s, st: st, version: s.peerVersion}
-	q.res = st.result(q.version)
-	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// Result returns the join as of the last applied update.
-func (q *StandingJoin) Result() *JoinResult { return q.res }
-
-// Version returns the sender data version the current result reflects.
-func (q *StandingJoin) Version() uint64 { return q.version }
-
-// Await blocks for the next pushed update, folds it into the retained
-// match index, acknowledges it, and returns the refreshed result.  It
-// returns ErrSubscriptionEnded when the sender closes the subscription.
-func (q *StandingJoin) Await(ctx context.Context) (*JoinResult, error) {
-	if q.closed {
-		return nil, ErrSubscriptionEnded
-	}
-	m, err := q.s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
-	if err != nil {
-		return nil, err
-	}
-	if _, ended := m.(wire.SubEnd); ended {
-		q.closed = true
-		return nil, ErrSubscriptionEnded
-	}
-	u := m.(wire.SubUpdate)
-
-	var start time.Time
-	if q.s.lat != nil {
-		start = time.Now()
-	}
-	s, st := q.s, q.st
-	if u.From != q.version || u.To <= u.From {
-		return nil, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
-			ErrMalformedReply, u.From, u.To, q.version))
-	}
-	if !u.HasExt && len(u.Upserts) > 0 {
-		return nil, s.abort(ctx, fmt.Errorf("%w: equijoin sub update lacks ext payloads", ErrMalformedReply))
-	}
-	if err := s.checkElems(ctx, u.Upserts, -1, "pushed upserts", true); err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	if err := s.checkElems(ctx, u.Deleted, -1, "pushed deletes", true); err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// The pushed elements are f_eS(h(v)) — the exact key domain of the
-	// retained index.  Update the map, then re-decrypt only the affected
-	// positions with the retained κ values.
-	inserted := 0
-	for i, e := range u.Upserts {
-		k := st.ky.key(e)
-		if _, present := st.extByElem[k]; !present {
-			inserted++
-		}
-		st.extByElem[k] = u.UpsertExt[i]
-		if pos, mine := st.posByKey[k]; mine {
-			ext, err := s.cfg.Cipher.Decrypt(st.kappas[pos], u.UpsertExt[i])
-			if err != nil {
-				return nil, s.abort(ctx, fmt.Errorf("core: decrypting pushed ext(v): %w", err))
-			}
-			if s.counters != nil {
-				s.counters.AddPayloadDecrypts(1)
-			}
-			idx := st.order[pos]
-			st.matched[idx] = &JoinMatch{Value: st.vR[idx], Ext: ext}
-		}
-	}
-	for _, e := range u.Deleted {
-		k := st.ky.key(e)
-		if _, present := st.extByElem[k]; !present {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed delete not present", ErrMalformedReply))
-		}
-		delete(st.extByElem, k)
-		if pos, mine := st.posByKey[k]; mine {
-			st.matched[st.order[pos]] = nil
-		}
-	}
-	st.peerSize += inserted - len(u.Deleted)
-	q.version = u.To
-
-	if err := s.send(ctx, wire.SubAck{Version: u.To}); err != nil {
-		return nil, err
-	}
-	if s.lat != nil {
-		s.lat.Record(obs.LatDeltaApply, time.Since(start))
-	}
-	q.res = st.result(q.version)
-	return q.res, nil
-}
-
-// Close unsubscribes.  Safe to call after the subscription already
-// ended.
-func (q *StandingJoin) Close(ctx context.Context) error {
-	if q.closed {
-		return nil
-	}
-	q.closed = true
-	return q.s.send(ctx, wire.SubEnd{Code: wire.SubEndClient})
-}
-
-// EquijoinSenderStanding runs party S of the equijoin protocol exactly
-// as EquijoinSender does, then serves the peer's standing query with
-// one SubUpdate per version step: upserted values ship as
-// ⟨f_eS(h(v)), K(κ(v), ext(v))⟩ under the pinned keys, deletes as bare
-// f_eS(h(v)).  cfg.DeltaSource must be non-nil.
-func EquijoinSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	if cfg.DeltaSource == nil {
-		return nil, errors.New("core: standing sender requires a DeltaSource")
-	}
-	s := newSession(ctx, cfg, conn)
-	vS, exts, err := dedupRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	info, eS, ePrimeS, outElems, outExts, err := s.equijoinSenderRun(ctx, vS, exts)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := commutative.CachedSetFromSorted(eS, outElems, outExts)
-	if err != nil {
-		return info, fmt.Errorf("core: retaining encrypted set: %w", err)
-	}
-	return info, s.serveSubscription(ctx, cs, ePrimeS, true)
+	return next, u, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"minshare/internal/commutative"
@@ -11,32 +12,122 @@ import (
 	"minshare/internal/wire"
 )
 
-// Streaming pipeline helpers.
+// Bulk-vector I/O.
 //
-// Nothing in the Section 3.3/4.3 protocols requires a party to finish
-// encrypting its whole set before the first elements go on the wire,
-// nor to hold a complete peer vector before re-encryption starts.
-// These helpers exploit that: with Config.ChunkSize > 0, bulk vectors
-// cross the wire as StreamBegin / StreamChunk… / StreamEnd, and
+// Every bulk vector of the protocols is one of three wire shapes — bare
+// elements, aligned element pairs, or ⟨element, ciphertext⟩ pairs — and
+// crosses the wire in one of two encodings: a legacy one-shot frame
+// (Config.ChunkSize = 0, the pre-streaming transcript byte for byte) or
+// StreamBegin / chunk… / StreamEnd.  This file has one writer and one
+// reader for all six combinations:
 //
-//   - streamEncryptSend exponentiates chunk i while chunk i−1 is in
-//     flight;
-//   - recvReencryptStream (and the equijoin-specific variants below)
-//     validate and re-encrypt each received chunk while the next is
-//     still arriving;
-//   - duplex overlaps the two independent directions of the exchange
-//     phase, hiding a whole vector transfer on a bandwidth-bound link.
+//   - vecWriter ships runs as they become available (streaming) or
+//     buffers them into the one-shot frame (legacy);
+//   - recvVec validates and hands out runs as they arrive, presenting a
+//     legacy frame as a single run, so receivers accept whichever
+//     encoding the peer chose and the two modes interoperate;
+//   - recvPipelined hangs a worker off recvVec so run i is re-encrypted
+//     (or stripped, or answered) while run i+1 is still in flight;
+//   - duplex overlaps the two independent directions of an exchange.
 //
-// Every receive helper is mode-agnostic — it accepts the legacy
-// one-shot vector or a stream, whatever the peer sent — so sessions
-// with different ChunkSize settings interoperate, and ChunkSize = 0
-// reproduces the pre-streaming transcript byte-for-byte.
+// Nothing in the Section 3.3/4.3 protocols requires a party to finish a
+// whole vector before its first elements move; these helpers are where
+// that freedom is used.
 
 // streaming reports whether this session sends bulk vectors chunked.
 func (s *session) streaming() bool { return s.cfg.ChunkSize > 0 }
 
+// vec is a run of a bulk vector in any of the three wire shapes: bare
+// elements (a only), aligned pairs (a and b), or ⟨element, ciphertext⟩
+// pairs (a and exts).
+type vec struct {
+	a, b []*big.Int
+	exts [][]byte
+}
+
+func (v vec) len() int { return len(v.a) }
+
+// slice returns entries [lo, hi) of every component.
+func (v vec) slice(lo, hi int) vec {
+	out := vec{a: v.a[lo:hi]}
+	if v.b != nil {
+		out.b = v.b[lo:hi]
+	}
+	if v.exts != nil {
+		out.exts = v.exts[lo:hi]
+	}
+	return out
+}
+
+// append adds run c to v component-wise.  The first run appended to a
+// zero vec is aliased, not copied — usually it is the whole vector —
+// with its capacity clipped, so that a later append cannot write into a
+// backing array the run shares with its producer (the encrypted-set
+// cache, for one).
+func (v *vec) append(c vec) {
+	if v.a == nil {
+		*v = vec{a: slices.Clip(c.a), b: slices.Clip(c.b), exts: slices.Clip(c.exts)}
+		return
+	}
+	v.a = append(v.a, c.a...)
+	v.b = append(v.b, c.b...)
+	v.exts = append(v.exts, c.exts...)
+}
+
+// message encodes v as a vector of the given inner kind: the one-shot
+// frame, or (chunk) one stream chunk, whose pair form interleaves the
+// components a0 b0 a1 b1 ….
+func (v vec) message(inner wire.Kind, chunk bool) wire.Message {
+	switch {
+	case inner == wire.KindExtPairs && chunk:
+		return wire.StreamExtChunk{Elem: v.a, Ext: v.exts}
+	case inner == wire.KindExtPairs:
+		return wire.ExtPairs{Elem: v.a, Ext: v.exts}
+	case inner == wire.KindPairs && chunk:
+		inter := make([]*big.Int, 0, 2*len(v.a))
+		for i := range v.a {
+			inter = append(inter, v.a[i], v.b[i])
+		}
+		return wire.StreamChunk{Elems: inter}
+	case inner == wire.KindPairs:
+		return wire.Pairs{A: v.a, B: v.b}
+	case chunk:
+		return wire.StreamChunk{Elems: v.a}
+	}
+	return wire.Elements{Elems: v.a}
+}
+
+// runOf unpacks a one-shot vector frame or a stream chunk of the given
+// inner kind.  m's kind has already been constrained by recvAny.
+func runOf(m wire.Message, inner wire.Kind) (vec, error) {
+	if v, ok := m.(wire.Elements); ok {
+		return vec{a: v.Elems}, nil
+	}
+	if v, ok := m.(wire.Pairs); ok {
+		return vec{a: v.A, b: v.B}, nil
+	}
+	if v, ok := m.(wire.ExtPairs); ok {
+		return vec{a: v.Elem, exts: v.Ext}, nil
+	}
+	if v, ok := m.(wire.StreamExtChunk); ok {
+		return vec{a: v.Elem, exts: v.Ext}, nil
+	}
+	elems := m.(wire.StreamChunk).Elems
+	if inner != wire.KindPairs {
+		return vec{a: elems}, nil
+	}
+	if len(elems)%2 != 0 {
+		return vec{}, fmt.Errorf("%w: pair stream chunk of %d elements", ErrMalformedReply, len(elems))
+	}
+	out := vec{a: make([]*big.Int, len(elems)/2), b: make([]*big.Int, len(elems)/2)}
+	for i := range out.a {
+		out.a[i], out.b[i] = elems[2*i], elems[2*i+1]
+	}
+	return out, nil
+}
+
 // chunkTimer feeds the chunk/pipeline latency histogram: each tick
-// records the time one chunk spent in its pipeline stage (exponentiate
+// records the time one run spent in its pipeline stage (exponentiate
 // and ship, or validate and re-encrypt) since the previous tick.  A nil
 // timer — uninstrumented session — is inert and costs no clock reads.
 type chunkTimer struct {
@@ -60,493 +151,303 @@ func (t *chunkTimer) tick() {
 	t.last = now
 }
 
-// sendElems ships an element vector that is already fully computed: one
-// legacy frame, or Begin + ⌈n/ChunkSize⌉ chunks + End when streaming.
-func (s *session) sendElems(ctx context.Context, elems []*big.Int) error {
-	if !s.streaming() {
-		return s.send(ctx, wire.Elements{Elems: elems})
-	}
-	if err := s.send(ctx, wire.StreamBegin{Inner: wire.KindElements, Count: uint32(len(elems))}); err != nil {
-		return err
-	}
-	chunks := uint32(0)
-	for off := 0; off < len(elems); off += s.cfg.ChunkSize {
-		end := min(off+s.cfg.ChunkSize, len(elems))
-		if err := s.send(ctx, wire.StreamChunk{Elems: elems[off:end]}); err != nil {
-			return err
-		}
-		chunks++
-	}
-	return s.send(ctx, wire.StreamEnd{Chunks: chunks})
+// vecWriter ships one bulk vector run by run.  Streaming sessions put
+// StreamBegin on the wire at once and each run as its own chunk; legacy
+// sessions buffer the runs and end ships them as the one-shot frame.
+type vecWriter struct {
+	s      *session
+	inner  wire.Kind
+	buf    vec
+	chunks uint32
 }
 
-// sendExtPairs is sendElems for ⟨element, ciphertext⟩ vectors.
-func (s *session) sendExtPairs(ctx context.Context, elems []*big.Int, exts [][]byte) error {
+// beginVec opens a vector of count entries of the given inner kind.
+func (s *session) beginVec(ctx context.Context, inner wire.Kind, count int) (vecWriter, error) {
+	w := vecWriter{s: s, inner: inner}
 	if !s.streaming() {
-		return s.send(ctx, wire.ExtPairs{Elem: elems, Ext: exts})
+		return w, nil
 	}
-	if err := s.send(ctx, wire.StreamBegin{Inner: wire.KindExtPairs, Count: uint32(len(elems))}); err != nil {
+	return w, s.send(ctx, wire.StreamBegin{Inner: inner, Count: uint32(count)})
+}
+
+func (w *vecWriter) write(ctx context.Context, run vec) error {
+	if w.s.streaming() {
+		w.chunks++
+		return w.s.send(ctx, run.message(w.inner, true))
+	}
+	w.buf.append(run)
+	return nil
+}
+
+func (w *vecWriter) end(ctx context.Context) error {
+	if w.s.streaming() {
+		return w.s.send(ctx, wire.StreamEnd{Chunks: w.chunks})
+	}
+	return w.s.send(ctx, w.buf.message(w.inner, false))
+}
+
+// sendVec ships a vector that is already fully computed: one legacy
+// frame, or Begin + ⌈n/ChunkSize⌉ chunks + End when streaming.
+func (s *session) sendVec(ctx context.Context, inner wire.Kind, v vec) error {
+	w, err := s.beginVec(ctx, inner, v.len())
+	if err != nil {
 		return err
 	}
-	chunks := uint32(0)
-	for off := 0; off < len(elems); off += s.cfg.ChunkSize {
-		end := min(off+s.cfg.ChunkSize, len(elems))
-		if err := s.send(ctx, wire.StreamExtChunk{Elem: elems[off:end], Ext: exts[off:end]}); err != nil {
+	step := v.len()
+	if s.streaming() {
+		step = s.cfg.ChunkSize
+	}
+	for off := 0; off < v.len(); off += step {
+		if err := w.write(ctx, v.slice(off, min(off+step, v.len()))); err != nil {
 			return err
 		}
-		chunks++
 	}
-	return s.send(ctx, wire.StreamEnd{Chunks: chunks})
+	return w.end(ctx)
+}
+
+// sendElems is sendVec for a bare element vector.
+func (s *session) sendElems(ctx context.Context, elems []*big.Int) error {
+	return s.sendVec(ctx, wire.KindElements, vec{a: elems})
 }
 
 // streamEncryptSend computes f_k(x) for every x in xs and ships the
-// results in input order.  Legacy mode encrypts the whole vector, then
-// sends one frame.  Streaming mode pipelines: each chunk goes on the
-// wire as soon as it is exponentiated, while the worker pool is already
-// on the next one.  Returns the full encrypted vector.
-func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs []*big.Int) ([]*big.Int, error) {
+// results in input order.  Streaming mode pipelines: each chunk goes on
+// the wire as soon as it is exponentiated, while the worker pool is
+// already on the next one; legacy mode is the same loop over a single
+// chunk.
+func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs []*big.Int) error {
 	sp := obs.StartSpan(ctx, "re-encrypt")
 	defer sp.End()
-	if !s.streaming() {
-		out, err := s.encryptSet(ctx, k, xs)
-		if err != nil {
-			return nil, s.abort(ctx, err)
-		}
-		if err := s.send(ctx, wire.Elements{Elems: out}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	if err := s.send(ctx, wire.StreamBegin{Inner: wire.KindElements, Count: uint32(len(xs))}); err != nil {
-		return nil, err
+	w, err := s.beginVec(ctx, wire.KindElements, len(xs))
+	if err != nil {
+		return err
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := commutative.EncryptStream(cctx, s.cfg.Scheme, k, xs, s.cfg.ChunkSize, s.cfg.Parallelism)
-	out := make([]*big.Int, 0, len(xs))
-	chunks := uint32(0)
 	ct := s.newChunkTimer()
 	for c := range ch {
 		if c.Err != nil {
 			// An error chunk is terminal; the channel is already closed.
-			return nil, s.abort(ctx, c.Err)
+			return s.abort(ctx, c.Err)
 		}
-		if err := s.send(ctx, wire.StreamChunk{Elems: c.Elems}); err != nil {
+		if err := w.write(ctx, vec{a: c.Elems}); err != nil {
 			cancel()
 			for range ch {
 			}
-			return nil, err
+			return err
 		}
 		ct.tick()
-		out = append(out, c.Elems...)
-		chunks++
 	}
-	if err := s.send(ctx, wire.StreamEnd{Chunks: chunks}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return w.end(ctx)
 }
 
-// recvElemsFunc receives one element vector in either encoding — a
-// legacy one-shot frame or a stream — validating cardinality, group
-// membership, and (when requireSorted) order as the data arrives.
-// Sortedness is checked across chunk boundaries.  onChunk, when
-// non-nil, observes each validated non-empty run before the next frame
-// is read; the re-encryption pipelines hang their workers off it.
-// Validation failures abort the session (the peer gets a wire.ErrorMsg).
-func (s *session) recvElemsFunc(ctx context.Context, wantLen int, what string, requireSorted bool, onChunk func([]*big.Int) error) ([]*big.Int, error) {
-	m, err := s.recvAny(ctx, wire.KindElements, wire.KindStreamBegin)
-	if err != nil {
-		return nil, err
-	}
-	if v, ok := m.(wire.Elements); ok {
-		if err := s.checkElems(ctx, v.Elems, wantLen, what, requireSorted); err != nil {
-			return nil, s.abort(ctx, err)
+// recvVec receives one bulk vector of the given inner kind in either
+// encoding, presenting a legacy one-shot frame as a single run.  Each
+// run is validated as it arrives — cardinality against wantLen (-1:
+// any), group membership of every element, and, when sorted, ascending
+// order of the first component across run boundaries (footnote 3 of
+// the paper: unsorted replies leak alignment) — and then handed to
+// onRun, when non-nil, with its offset in the vector before the next
+// frame is read.  Validation failures abort the session (the peer gets
+// a wire.ErrorMsg).  Returns the whole vector.
+func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, what string, sorted bool, onRun func(off int, run vec) error) (vec, error) {
+	var all vec
+	fail := func(err error) (vec, error) { return vec{}, s.abort(ctx, err) }
+	// check validates the run that follows all and offers it to onRun.
+	check := func(run vec) error {
+		var prev *big.Int
+		if n := all.len(); n > 0 {
+			prev = all.a[n-1]
 		}
-		if onChunk != nil && len(v.Elems) > 0 {
-			if err := onChunk(v.Elems); err != nil {
-				return nil, err
+		if err := s.checkChunk(ctx, run.a, prev, all.len(), what, sorted); err != nil {
+			return s.abort(ctx, err)
+		}
+		if run.b != nil {
+			if err := s.checkChunk(ctx, run.b, nil, all.len(), what+" (second component)", false); err != nil {
+				return s.abort(ctx, err)
 			}
 		}
-		return v.Elems, nil
+		if onRun != nil && run.len() > 0 {
+			return onRun(all.len(), run)
+		}
+		return nil
 	}
 
-	begin := m.(wire.StreamBegin)
-	if begin.Inner != wire.KindElements {
-		return nil, s.abort(ctx, fmt.Errorf("%w: %s streamed as %v", ErrMalformedReply, what, begin.Inner))
+	m, err := s.recvAny(ctx, inner, wire.KindStreamBegin)
+	if err != nil {
+		return vec{}, err
 	}
-	count := int(begin.Count)
-	if wantLen >= 0 && count != wantLen {
-		return nil, s.abort(ctx, fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
-	}
-	elems := make([]*big.Int, 0, count)
-	var prev *big.Int
-	chunks := uint32(0)
-	for {
-		m, err := s.recvAny(ctx, wire.KindStreamChunk, wire.KindStreamEnd)
+	begin, streamed := m.(wire.StreamBegin)
+	if !streamed {
+		run, err := runOf(m, inner)
 		if err != nil {
-			return nil, err
+			return fail(err)
+		}
+		if wantLen >= 0 && run.len() != wantLen {
+			return fail(fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, run.len(), wantLen))
+		}
+		if err := check(run); err != nil {
+			return vec{}, err
+		}
+		return run, nil
+	}
+
+	count := int(begin.Count)
+	if begin.Inner != inner {
+		return fail(fmt.Errorf("%w: %s streamed as %v", ErrMalformedReply, what, begin.Inner))
+	}
+	if wantLen >= 0 && count != wantLen {
+		return fail(fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
+	}
+	all.a = make([]*big.Int, 0, count)
+	chunkKind := wire.KindStreamChunk
+	if inner == wire.KindExtPairs {
+		chunkKind = wire.KindStreamExtChunk
+		all.exts = make([][]byte, 0, count)
+	}
+	for chunks := uint32(0); ; chunks++ {
+		m, err := s.recvAny(ctx, chunkKind, wire.KindStreamEnd)
+		if err != nil {
+			return vec{}, err
 		}
 		if end, ok := m.(wire.StreamEnd); ok {
-			if end.Chunks != chunks || len(elems) != count {
-				return nil, s.abort(ctx, fmt.Errorf("%w: %s stream ended after %d/%d elements", ErrMalformedReply, what, len(elems), count))
+			if end.Chunks != chunks || all.len() != count {
+				return fail(fmt.Errorf("%w: %s stream ended after %d/%d elements", ErrMalformedReply, what, all.len(), count))
 			}
-			return elems, nil
+			return all, nil
 		}
-		chunk := m.(wire.StreamChunk).Elems
-		if len(chunk) == 0 {
-			return nil, s.abort(ctx, fmt.Errorf("%w: empty %s stream chunk", ErrMalformedReply, what))
+		run, err := runOf(m, inner)
+		if err != nil {
+			return fail(err)
 		}
-		if len(elems)+len(chunk) > count {
-			return nil, s.abort(ctx, fmt.Errorf("%w: %s stream overflows its declared %d elements", ErrMalformedReply, what, count))
+		if run.len() == 0 {
+			return fail(fmt.Errorf("%w: empty %s stream chunk", ErrMalformedReply, what))
 		}
-		if err := s.checkChunk(ctx, chunk, prev, len(elems), what, requireSorted); err != nil {
-			return nil, s.abort(ctx, err)
+		if all.len()+run.len() > count {
+			return fail(fmt.Errorf("%w: %s stream overflows its declared %d elements", ErrMalformedReply, what, count))
 		}
-		if onChunk != nil {
-			if err := onChunk(chunk); err != nil {
-				return nil, err
-			}
+		if err := check(run); err != nil {
+			return vec{}, err
 		}
-		elems = append(elems, chunk...)
-		prev = chunk[len(chunk)-1]
-		chunks++
+		all.append(run)
 	}
 }
 
-// recvElems receives and validates one element vector, either encoding.
-func (s *session) recvElems(ctx context.Context, wantLen int, what string, requireSorted bool) ([]*big.Int, error) {
-	return s.recvElemsFunc(ctx, wantLen, what, requireSorted, nil)
+// recvElems receives and validates one bare element vector.
+func (s *session) recvElems(ctx context.Context, wantLen int, what string, sorted bool) ([]*big.Int, error) {
+	v, err := s.recvVec(ctx, wire.KindElements, wantLen, what, sorted, nil)
+	return v.a, err
 }
 
-// recvReencryptStream receives an element vector and re-encrypts it
-// under k, overlapping each chunk's exponentiation with the receipt of
-// the next.  Returns both the received vector and its re-encryption,
-// both in wire order.
-func (s *session) recvReencryptStream(ctx context.Context, k *commutative.Key, wantLen int, what string, requireSorted bool) (received, reenc []*big.Int, err error) {
-	jobs := make(chan []*big.Int, 1)
+// recvPipelined is recvVec with a worker: work runs on each validated
+// run, in order, on its own goroutine while the next run is still
+// arriving.  The first work error stops further work (later runs are
+// drained unprocessed) and aborts the session once the receive has
+// unwound; a receive error takes precedence.
+func (s *session) recvPipelined(ctx context.Context, inner wire.Kind, wantLen int, what string, sorted bool, work func(off int, run vec) error) (vec, error) {
+	type job struct {
+		off int
+		run vec
+	}
+	jobs := make(chan job, 1)
 	done := make(chan struct{})
-	var (
-		out    []*big.Int
-		encErr error
-	)
+	var workErr error
 	go func() {
 		defer close(done)
 		sp := obs.StartSpan(ctx, "re-encrypt")
 		defer sp.End()
 		ct := s.newChunkTimer()
-		for chunk := range jobs {
-			if encErr != nil {
+		for j := range jobs {
+			if workErr != nil {
 				continue // drain
 			}
-			// len(out) is the chunk's base offset in the received vector,
-			// so element errors name the global index.
-			ys, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, k, chunk, s.cfg.Parallelism, len(out))
-			if err != nil {
-				encErr = err
-				continue
+			if workErr = work(j.off, j.run); workErr == nil {
+				ct.tick()
 			}
-			out = append(out, ys...)
-			ct.tick()
 		}
 	}()
-	received, rerr := s.recvElemsFunc(ctx, wantLen, what, requireSorted, func(chunk []*big.Int) error {
+	all, err := s.recvVec(ctx, inner, wantLen, what, sorted, func(off int, run vec) error {
 		select {
-		case jobs <- chunk:
+		case jobs <- job{off, run}:
 			return nil
 		case <-ctx.Done():
-			return fmt.Errorf("core: re-encrypt pipeline: %w", ctx.Err())
+			return fmt.Errorf("core: chunk pipeline: %w", ctx.Err())
 		}
 	})
 	close(jobs)
 	<-done
-	if rerr != nil {
-		return nil, nil, rerr
+	if err != nil {
+		return vec{}, err
 	}
-	if encErr != nil {
-		return nil, nil, s.abort(ctx, encErr)
+	if workErr != nil {
+		return vec{}, s.abort(ctx, workErr)
 	}
-	return received, out, nil
+	return all, nil
+}
+
+// recvReencrypt receives a sorted element vector and re-encrypts it
+// under k, overlapping each run's exponentiation with the receipt of
+// the next.  Returns the received vector and its re-encryption, both
+// in wire order.
+func (s *session) recvReencrypt(ctx context.Context, k *commutative.Key, wantLen int, what string) (received, reenc []*big.Int, err error) {
+	var out vec
+	got, err := s.recvPipelined(ctx, wire.KindElements, wantLen, what, true, func(off int, run vec) error {
+		// off is the run's base offset, so element errors name the
+		// global index.
+		ys, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, k, run.a, s.cfg.Parallelism, off)
+		out.append(vec{a: ys})
+		return err
+	})
+	return got.a, out.a, err
 }
 
 // recvEncryptPairsSend is the equijoin sender's step 3–4 pipeline: it
 // receives Y_R (sorted) and replies with the aligned ⟨f_kA(y), f_kB(y)⟩
-// pairs.  In streaming mode each received chunk is double-encrypted and
-// its pair chunk sent while the next chunk of Y_R is still in flight,
-// the reply mirroring the incoming chunk boundaries.  Returns Y_R.
-func (s *session) recvEncryptPairsSend(ctx context.Context, kA, kB *commutative.Key, wantLen int, what string) ([]*big.Int, error) {
-	if !s.streaming() {
-		yR, err := s.recvElems(ctx, wantLen, what, true)
-		if err != nil {
-			return nil, err
-		}
-		sp := obs.StartSpan(ctx, "re-encrypt")
-		defer sp.End()
-		withA, err := s.encryptSet(ctx, kA, yR)
-		if err != nil {
-			return nil, s.abort(ctx, err)
-		}
-		withB, err := s.encryptSet(ctx, kB, yR)
-		if err != nil {
-			return nil, s.abort(ctx, err)
-		}
-		if err := s.send(ctx, wire.Pairs{A: withA, B: withB}); err != nil {
-			return nil, err
-		}
-		return yR, nil
+// pairs.  In streaming mode each received run is double-encrypted and
+// its pair chunk sent while the next run of Y_R is still in flight, the
+// reply mirroring the incoming run boundaries.
+func (s *session) recvEncryptPairsSend(ctx context.Context, kA, kB *commutative.Key, wantLen int, what string) error {
+	w, err := s.beginVec(ctx, wire.KindPairs, wantLen)
+	if err != nil {
+		return err
 	}
-
-	if err := s.send(ctx, wire.StreamBegin{Inner: wire.KindPairs, Count: uint32(wantLen)}); err != nil {
-		return nil, err
-	}
-	jobs := make(chan []*big.Int, 1)
-	done := make(chan struct{})
-	var (
-		chunks          uint32
-		encErr, sendErr error
-	)
-	go func() {
-		defer close(done)
-		sp := obs.StartSpan(ctx, "re-encrypt")
-		defer sp.End()
-		ct := s.newChunkTimer()
-		off := 0 // base offset of the current chunk within Y_R
-		for chunk := range jobs {
-			base := off
-			off += len(chunk)
-			if encErr != nil || sendErr != nil {
-				continue // drain
-			}
-			withA, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kA, chunk, s.cfg.Parallelism, base)
-			if err != nil {
-				encErr = err
-				continue
-			}
-			withB, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kB, chunk, s.cfg.Parallelism, base)
-			if err != nil {
-				encErr = err
-				continue
-			}
-			// Pairs stream interleaved: a0 b0 a1 b1 …
-			inter := make([]*big.Int, 0, 2*len(chunk))
-			for i := range chunk {
-				inter = append(inter, withA[i], withB[i])
-			}
-			if err := s.send(ctx, wire.StreamChunk{Elems: inter}); err != nil {
-				sendErr = err
-				continue
-			}
-			ct.tick()
-			chunks++
+	_, err = s.recvPipelined(ctx, wire.KindElements, wantLen, what, true, func(off int, run vec) error {
+		withA, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kA, run.a, s.cfg.Parallelism, off)
+		if err != nil {
+			return err
 		}
-	}()
-	yR, rerr := s.recvElemsFunc(ctx, wantLen, what, true, func(chunk []*big.Int) error {
-		select {
-		case jobs <- chunk:
-			return nil
-		case <-ctx.Done():
-			return fmt.Errorf("core: pair pipeline: %w", ctx.Err())
+		withB, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kB, run.a, s.cfg.Parallelism, off)
+		if err != nil {
+			return err
 		}
+		return w.write(ctx, vec{a: withA, b: withB})
 	})
-	close(jobs)
-	<-done
-	if rerr != nil {
-		return nil, rerr
+	if err != nil {
+		return err
 	}
-	if encErr != nil {
-		return nil, s.abort(ctx, encErr)
-	}
-	if sendErr != nil {
-		return nil, sendErr
-	}
-	if err := s.send(ctx, wire.StreamEnd{Chunks: chunks}); err != nil {
-		return nil, err
-	}
-	return yR, nil
+	return w.end(ctx)
 }
 
 // recvPairsDecrypt is the equijoin receiver's step 4+6 pipeline: it
 // receives the aligned ⟨f_eS(y), f_e'S(y)⟩ pairs and strips R's own
-// encryption layer from both components, chunk by chunk, overlapped
-// with the receive.  Returns the two decrypted component vectors.
-func (s *session) recvPairsDecrypt(ctx context.Context, k *commutative.Key, wantLen int, whatA, whatB string) (compA, compB []*big.Int, err error) {
-	m, err := s.recvAny(ctx, wire.KindPairs, wire.KindStreamBegin)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v, ok := m.(wire.Pairs); ok {
-		if err := s.checkElems(ctx, v.A, wantLen, whatA, false); err != nil {
-			return nil, nil, s.abort(ctx, err)
-		}
-		if err := s.checkElems(ctx, v.B, wantLen, whatB, false); err != nil {
-			return nil, nil, s.abort(ctx, err)
-		}
-		sp := obs.StartSpan(ctx, "re-encrypt")
-		defer sp.End()
-		a, err := s.decryptSet(ctx, k, v.A)
+// encryption layer from both components, run by run, overlapped with
+// the receive.  Returns the two decrypted component vectors.
+func (s *session) recvPairsDecrypt(ctx context.Context, k *commutative.Key, wantLen int, what string) (vec, error) {
+	var out vec
+	_, err := s.recvPipelined(ctx, wire.KindPairs, wantLen, what, false, func(off int, run vec) error {
+		a, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, run.a, s.cfg.Parallelism, off)
 		if err != nil {
-			return nil, nil, s.abort(ctx, err)
+			return err
 		}
-		b, err := s.decryptSet(ctx, k, v.B)
+		b, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, run.b, s.cfg.Parallelism, off)
 		if err != nil {
-			return nil, nil, s.abort(ctx, err)
+			return err
 		}
-		return a, b, nil
-	}
-
-	begin := m.(wire.StreamBegin)
-	if begin.Inner != wire.KindPairs {
-		return nil, nil, s.abort(ctx, fmt.Errorf("%w: pair reply streamed as %v", ErrMalformedReply, begin.Inner))
-	}
-	count := int(begin.Count)
-	if wantLen >= 0 && count != wantLen {
-		return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, whatA, count, wantLen))
-	}
-
-	type pairChunk struct{ a, b []*big.Int }
-	jobs := make(chan pairChunk, 1)
-	done := make(chan struct{})
-	var (
-		outA, outB []*big.Int
-		decErr     error
-	)
-	go func() {
-		defer close(done)
-		sp := obs.StartSpan(ctx, "re-encrypt")
-		defer sp.End()
-		ct := s.newChunkTimer()
-		for pc := range jobs {
-			if decErr != nil {
-				continue // drain
-			}
-			a, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, pc.a, s.cfg.Parallelism, len(outA))
-			if err != nil {
-				decErr = err
-				continue
-			}
-			b, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, pc.b, s.cfg.Parallelism, len(outB))
-			if err != nil {
-				decErr = err
-				continue
-			}
-			outA = append(outA, a...)
-			outB = append(outB, b...)
-			ct.tick()
-		}
-	}()
-
-	var rerr error
-	got := 0
-	chunks := uint32(0)
-recvLoop:
-	for {
-		m, err := s.recvAny(ctx, wire.KindStreamChunk, wire.KindStreamEnd)
-		if err != nil {
-			rerr = err
-			break
-		}
-		if end, ok := m.(wire.StreamEnd); ok {
-			if end.Chunks != chunks || got != count {
-				rerr = s.abort(ctx, fmt.Errorf("%w: pair stream ended after %d/%d entries", ErrMalformedReply, got, count))
-			}
-			break
-		}
-		elems := m.(wire.StreamChunk).Elems
-		if len(elems) == 0 || len(elems)%2 != 0 {
-			rerr = s.abort(ctx, fmt.Errorf("%w: pair stream chunk of %d elements", ErrMalformedReply, len(elems)))
-			break
-		}
-		n := len(elems) / 2
-		if got+n > count {
-			rerr = s.abort(ctx, fmt.Errorf("%w: pair stream overflows its declared %d entries", ErrMalformedReply, count))
-			break
-		}
-		ca := make([]*big.Int, n)
-		cb := make([]*big.Int, n)
-		for i := 0; i < n; i++ {
-			ca[i], cb[i] = elems[2*i], elems[2*i+1]
-		}
-		if err := s.checkChunk(ctx, ca, nil, got, whatA, false); err != nil {
-			rerr = s.abort(ctx, err)
-			break
-		}
-		if err := s.checkChunk(ctx, cb, nil, got, whatB, false); err != nil {
-			rerr = s.abort(ctx, err)
-			break
-		}
-		select {
-		case jobs <- pairChunk{a: ca, b: cb}:
-		case <-ctx.Done():
-			rerr = fmt.Errorf("core: pair pipeline: %w", ctx.Err())
-			break recvLoop
-		}
-		got += n
-		chunks++
-	}
-	close(jobs)
-	<-done
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	if decErr != nil {
-		return nil, nil, s.abort(ctx, decErr)
-	}
-	return outA, outB, nil
-}
-
-// recvExtPairs receives one ⟨element, ciphertext⟩ vector, either
-// encoding, with the elements required sorted.
-func (s *session) recvExtPairs(ctx context.Context, wantLen int, what string) ([]*big.Int, [][]byte, error) {
-	m, err := s.recvAny(ctx, wire.KindExtPairs, wire.KindStreamBegin)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v, ok := m.(wire.ExtPairs); ok {
-		if err := s.checkElems(ctx, v.Elem, wantLen, what, true); err != nil {
-			return nil, nil, s.abort(ctx, err)
-		}
-		return v.Elem, v.Ext, nil
-	}
-
-	begin := m.(wire.StreamBegin)
-	if begin.Inner != wire.KindExtPairs {
-		return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s streamed as %v", ErrMalformedReply, what, begin.Inner))
-	}
-	count := int(begin.Count)
-	if wantLen >= 0 && count != wantLen {
-		return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
-	}
-	elems := make([]*big.Int, 0, count)
-	exts := make([][]byte, 0, count)
-	var prev *big.Int
-	chunks := uint32(0)
-	for {
-		m, err := s.recvAny(ctx, wire.KindStreamExtChunk, wire.KindStreamEnd)
-		if err != nil {
-			return nil, nil, err
-		}
-		if end, ok := m.(wire.StreamEnd); ok {
-			if end.Chunks != chunks || len(elems) != count {
-				return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s stream ended after %d/%d elements", ErrMalformedReply, what, len(elems), count))
-			}
-			return elems, exts, nil
-		}
-		chunk := m.(wire.StreamExtChunk)
-		if len(chunk.Elem) == 0 {
-			return nil, nil, s.abort(ctx, fmt.Errorf("%w: empty %s stream chunk", ErrMalformedReply, what))
-		}
-		if len(elems)+len(chunk.Elem) > count {
-			return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s stream overflows its declared %d elements", ErrMalformedReply, what, count))
-		}
-		if err := s.checkChunk(ctx, chunk.Elem, prev, len(elems), what, true); err != nil {
-			return nil, nil, s.abort(ctx, err)
-		}
-		elems = append(elems, chunk.Elem...)
-		exts = append(exts, chunk.Ext...)
-		prev = elems[len(elems)-1]
-		chunks++
-	}
+		out.append(vec{a: a, b: b})
+		return nil
+	})
+	return out, err
 }
 
 // duplex runs the send half and the receive half of an exchange phase.

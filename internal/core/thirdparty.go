@@ -59,35 +59,27 @@ func thirdPartyParty(ctx context.Context, cfg Config, peer, analyst transport.Co
 		return nil, err
 	}
 
-	// Steps 1-2: hash own set, draw key, encrypt.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	x, err := ps.hashSet(vals)
-	sp.End()
+	// Steps 1-2 are the sender prelude: hash own set, draw key, encrypt,
+	// sort.
+	keys, err := ps.ownSetKeys(ctx, vals, false)
 	if err != nil {
-		return nil, ps.abort(ctx, err)
+		return nil, err
 	}
-	key, err := ps.cfg.Scheme.GenerateKey(ps.cfg.Rand)
+	own, err := ps.ownSetBuild(ctx, keys, nil)
 	if err != nil {
-		return nil, ps.abort(ctx, fmt.Errorf("core: generating key: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	y, err := ps.encryptSet(ctx, key, x)
-	sp.End()
-	if err != nil {
-		return nil, ps.abort(ctx, err)
+		return nil, err
 	}
 
 	// Steps 3-4 pipelined: exchange singly-encrypted sets with the peer,
 	// sorted (party A sends first to avoid a lockstep deadlock in legacy
 	// mode; streaming mode runs the halves full-duplex), double-
 	// encrypting each received chunk while the next is in flight.
-	sp = obs.StartSpan(ctx, "exchange")
+	sp := obs.StartSpan(ctx, "exchange")
 	var z []*big.Int
 	err = ps.duplex(ctx, !first,
-		func(ctx context.Context) error { return ps.sendElems(ctx, sortedCopy(y)) },
-		func(ctx context.Context) error {
-			var rerr error
-			_, z, rerr = ps.recvReencryptStream(ctx, key, peerSize, "peer Y", true)
+		func(ctx context.Context) error { return ps.sendElems(ctx, own.Set.Elems()) },
+		func(ctx context.Context) (rerr error) {
+			_, z, rerr = ps.recvReencrypt(ctx, keys.key, peerSize, "peer Y")
 			return rerr
 		})
 	sp.End()
@@ -154,12 +146,6 @@ func ThirdPartyAnalyst(ctx context.Context, cfg Config, connA, connB transport.C
 		return nil, fmt.Errorf("%w: Z from B has %d elements, want %d", ErrMalformedReply, len(zFromB), sizeA)
 	}
 
-	ky := sa.newKeyer()
-	countA := multisetCountsKeyed(zFromB, ky)
-	countB := multisetCountsKeyed(zFromA, ky)
-	size := 0
-	for k, ca := range countA {
-		size += ca * countB[k]
-	}
+	size := overlap(zFromB, zFromA, newKeyer(sa.cfg.Group))
 	return &ThirdPartySizeResult{IntersectionSize: size, SizeA: sizeA, SizeB: sizeB}, nil
 }

@@ -118,16 +118,19 @@ func (c *Client) retryPause(ctx context.Context, n int) bool {
 	return true
 }
 
-func (c *Client) withConn(ctx context.Context, f func(conn transport.Conn) error) error {
+// dialRun dials under the client's Retry policy and runs one session on
+// the connection.  The connection is closed when run returns — unless
+// keep is set and run succeeded, in which case it is handed to the
+// caller (a standing query outlives the call).
+func dialRun[R any](ctx context.Context, c *Client, keep bool, run func(transport.Conn) (R, error)) (res R, kept transport.Conn, err error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if !c.retryPause(ctx, attempt-1) {
-				return err
+				return res, nil, err
 			}
 		}
 		var conn transport.Conn
@@ -135,20 +138,23 @@ func (c *Client) withConn(ctx context.Context, f func(conn transport.Conn) error
 		if err != nil {
 			err = fmt.Errorf("party: dialing %s: %w", c.addr, err)
 			if ctx.Err() != nil {
-				return err
+				return res, nil, err
 			}
 			continue // nothing reached the peer: safe to retry
 		}
 		probe := &sendProbe{Conn: conn}
-		err = f(probe)
+		res, err = run(probe)
+		if err == nil && keep {
+			return res, probe, nil
+		}
 		_ = conn.Close()
 		if err == nil || probe.attempted.Load() || ctx.Err() != nil {
 			// Success, or the peer may have seen our header — either way
 			// this attempt is the last.
-			return err
+			return res, nil, err
 		}
 	}
-	return err
+	return res, nil, err
 }
 
 // observe attaches a client-side obs session to ctx when the client has
@@ -170,55 +176,37 @@ func (c *Client) observe(ctx context.Context, protocol string, localSet int) (co
 	return obs.WithSession(ctx, sess), func(err error) { sess.End(err) }
 }
 
-// Intersect runs the intersection protocol against the server.
-func (c *Client) Intersect(ctx context.Context, values [][]byte) (*core.IntersectionResult, error) {
-	ctx, end := c.observe(ctx, "intersection", len(values))
-	var res *core.IntersectionResult
-	err := c.withConn(ctx, func(conn transport.Conn) error {
-		var err error
-		res, err = core.IntersectionReceiver(ctx, c.cfg, conn, values)
-		return err
+// receiverFunc is the shape of core's receiver-side entry points.
+type receiverFunc[R any] func(ctx context.Context, cfg core.Config, conn transport.Conn, values [][]byte) (R, error)
+
+// query runs one one-shot receiver session: observed, dialed with
+// retry, and closed on return.
+func query[R any](ctx context.Context, c *Client, protocol string, values [][]byte, run receiverFunc[R]) (R, error) {
+	ctx, end := c.observe(ctx, protocol, len(values))
+	res, _, err := dialRun(ctx, c, false, func(conn transport.Conn) (R, error) {
+		return run(ctx, c.cfg, conn, values)
 	})
 	end(err)
 	return res, err
+}
+
+// Intersect runs the intersection protocol against the server.
+func (c *Client) Intersect(ctx context.Context, values [][]byte) (*core.IntersectionResult, error) {
+	return query(ctx, c, "intersection", values, core.IntersectionReceiver)
 }
 
 // IntersectSize runs the intersection-size protocol against the server.
 func (c *Client) IntersectSize(ctx context.Context, values [][]byte) (*core.SizeResult, error) {
-	ctx, end := c.observe(ctx, "intersection-size", len(values))
-	var res *core.SizeResult
-	err := c.withConn(ctx, func(conn transport.Conn) error {
-		var err error
-		res, err = core.IntersectionSizeReceiver(ctx, c.cfg, conn, values)
-		return err
-	})
-	end(err)
-	return res, err
+	return query(ctx, c, "intersection-size", values, core.IntersectionSizeReceiver)
 }
 
 // Join runs the equijoin protocol against the server.
 func (c *Client) Join(ctx context.Context, values [][]byte) (*core.JoinResult, error) {
-	ctx, end := c.observe(ctx, "equijoin", len(values))
-	var res *core.JoinResult
-	err := c.withConn(ctx, func(conn transport.Conn) error {
-		var err error
-		res, err = core.EquijoinReceiver(ctx, c.cfg, conn, values)
-		return err
-	})
-	end(err)
-	return res, err
+	return query(ctx, c, "equijoin", values, core.EquijoinReceiver)
 }
 
 // JoinSize runs the equijoin-size protocol against the server; values is
 // a multiset.
 func (c *Client) JoinSize(ctx context.Context, values [][]byte) (*core.JoinSizeResult, error) {
-	ctx, end := c.observe(ctx, "equijoin-size", len(values))
-	var res *core.JoinSizeResult
-	err := c.withConn(ctx, func(conn transport.Conn) error {
-		var err error
-		res, err = core.EquijoinSizeReceiver(ctx, c.cfg, conn, values)
-		return err
-	})
-	end(err)
-	return res, err
+	return query(ctx, c, "equijoin-size", values, core.EquijoinSizeReceiver)
 }

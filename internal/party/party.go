@@ -352,12 +352,16 @@ func (s *Server) handle(ctx context.Context, peer string, conn transport.Conn) e
 		s.lifecycle().AddSaturationReject()
 		err := fmt.Errorf("%w: %d concurrent sessions", ErrSaturated, s.MaxSessions)
 		// Tell the peer before hanging up, briefly: a saturated server
-		// must not spend long on a slow rejectee either.
-		sendCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		// must not spend long on a slow rejectee either.  The receiver
+		// speaks first, so its opening header is read (and dropped) before
+		// the reply: hanging up while that write is still in flight would
+		// have the peer report a closed connection instead of the reason.
+		rejectCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		defer cancel()
+		_, _ = conn.Recv(rejectCtx)
 		codec := wire.NewCodec(s.group())
 		if data, encErr := codec.Encode(wire.ErrorMsg{Text: err.Error()}); encErr == nil {
-			_ = conn.Send(sendCtx, data)
+			_ = conn.Send(rejectCtx, data)
 		}
 		return err
 	}

@@ -54,7 +54,9 @@ func pipeDialer(t *testing.T, srv *Server) func(context.Context) (transport.Conn
 	})
 	return func(ctx context.Context) (transport.Conn, error) {
 		cConn, sConn := transport.Pipe()
+		served := make(chan struct{})
 		go func() {
+			defer close(served)
 			defer sConn.Close()
 			if err := srv.HandleConn(ctx, "test-peer", sConn); err != nil {
 				mu.Lock()
@@ -64,8 +66,24 @@ func pipeDialer(t *testing.T, srv *Server) func(context.Context) (transport.Conn
 				}
 			}
 		}()
-		return cConn, nil
+		return &settledConn{Conn: cConn, served: served}, nil
 	}
+}
+
+// settledConn makes closing the client end wait for the server's
+// handler to return.  The server ends its obs session, charges the
+// peer's budget and writes its audit entry after a session's last frame
+// is out — that is, after the client already has its answer — so with a
+// plain pipe a test asserting on any of those races the handler's tail.
+type settledConn struct {
+	transport.Conn
+	served <-chan struct{}
+}
+
+func (c *settledConn) Close() error {
+	err := c.Conn.Close()
+	<-c.served
+	return err
 }
 
 func TestServerAnswersAllProtocols(t *testing.T) {

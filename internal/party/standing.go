@@ -2,20 +2,25 @@ package party
 
 import (
 	"context"
-	"fmt"
 
 	"minshare/internal/core"
 	"minshare/internal/transport"
 )
 
-// StandingIntersect is a client-held standing intersection: the base
-// result plus the open subscription that keeps it current.  The
-// connection stays dedicated to the subscription until Close.
-type StandingIntersect struct {
-	q    *core.StandingIntersection
+// Standing is a client-held standing query: the base result plus the
+// open subscription that keeps it current.  The connection stays
+// dedicated to the subscription until Close.
+type Standing[R any] struct {
+	q    *core.StandingQuery[R]
 	conn transport.Conn
 	end  func(error)
 }
+
+// StandingIntersect is a client-held standing intersection.
+type StandingIntersect = Standing[*core.IntersectionResult]
+
+// StandingJoinQuery is a client-held standing equijoin.
+type StandingJoinQuery = Standing[*core.JoinResult]
 
 // IntersectStanding runs the intersection protocol and subscribes to
 // the server's updates.  Unlike the one-shot calls the connection
@@ -23,117 +28,44 @@ type StandingIntersect struct {
 // Close it.  Dial failures are retried under the client's Retry policy;
 // a session that reached the server is never re-run (see Retry).
 func (c *Client) IntersectStanding(ctx context.Context, values [][]byte) (*StandingIntersect, error) {
-	ctx, end := c.observe(ctx, "intersection", len(values))
-	conn, q, err := standingDial(ctx, c, func(conn transport.Conn) (*core.StandingIntersection, error) {
-		return core.IntersectionReceiverStanding(ctx, c.cfg, conn, values)
-	})
-	if err != nil {
-		end(err)
-		return nil, err
-	}
-	return &StandingIntersect{q: q, conn: conn, end: end}, nil
-}
-
-// Result returns the base run's intersection.
-func (s *StandingIntersect) Result() *core.IntersectionResult { return s.q.Result() }
-
-// Version reports the server data version the current result reflects.
-func (s *StandingIntersect) Version() uint64 { return s.q.Version() }
-
-// Await blocks for the next pushed update and returns the refreshed
-// intersection, or core.ErrSubscriptionEnded once the server has ended
-// the subscription (the last result stays valid).
-func (s *StandingIntersect) Await(ctx context.Context) (*core.IntersectionResult, error) {
-	return s.q.Await(ctx)
-}
-
-// Close ends the subscription and releases the connection.
-func (s *StandingIntersect) Close(ctx context.Context) error {
-	err := s.q.Close(ctx)
-	_ = s.conn.Close()
-	s.end(err)
-	return err
-}
-
-// StandingJoinQuery is a client-held standing equijoin; see
-// StandingIntersect.
-type StandingJoinQuery struct {
-	q    *core.StandingJoin
-	conn transport.Conn
-	end  func(error)
+	return standing(ctx, c, "intersection", values, core.IntersectionReceiverStanding)
 }
 
 // JoinStanding runs the equijoin protocol and subscribes to the
 // server's updates.  The caller owns the returned handle and must
 // Close it.
 func (c *Client) JoinStanding(ctx context.Context, values [][]byte) (*StandingJoinQuery, error) {
-	ctx, end := c.observe(ctx, "equijoin", len(values))
-	conn, q, err := standingDial(ctx, c, func(conn transport.Conn) (*core.StandingJoin, error) {
-		return core.EquijoinReceiverStanding(ctx, c.cfg, conn, values)
+	return standing(ctx, c, "equijoin", values, core.EquijoinReceiverStanding)
+}
+
+func standing[R any](ctx context.Context, c *Client, protocol string, values [][]byte, run receiverFunc[*core.StandingQuery[R]]) (*Standing[R], error) {
+	ctx, end := c.observe(ctx, protocol, len(values))
+	q, conn, err := dialRun(ctx, c, true, func(conn transport.Conn) (*core.StandingQuery[R], error) {
+		return run(ctx, c.cfg, conn, values)
 	})
 	if err != nil {
 		end(err)
 		return nil, err
 	}
-	return &StandingJoinQuery{q: q, conn: conn, end: end}, nil
+	return &Standing[R]{q: q, conn: conn, end: end}, nil
 }
 
-// Result returns the base run's join result.
-func (s *StandingJoinQuery) Result() *core.JoinResult { return s.q.Result() }
+// Result returns the answer as of the last applied update (the base
+// run's before the first Await).
+func (s *Standing[R]) Result() R { return s.q.Result() }
 
 // Version reports the server data version the current result reflects.
-func (s *StandingJoinQuery) Version() uint64 { return s.q.Version() }
+func (s *Standing[R]) Version() uint64 { return s.q.Version() }
 
 // Await blocks for the next pushed update and returns the refreshed
-// join result, or core.ErrSubscriptionEnded once the server has ended
-// the subscription.
-func (s *StandingJoinQuery) Await(ctx context.Context) (*core.JoinResult, error) {
-	return s.q.Await(ctx)
-}
+// result, or core.ErrSubscriptionEnded once the server has ended the
+// subscription (the last result stays valid).
+func (s *Standing[R]) Await(ctx context.Context) (R, error) { return s.q.Await(ctx) }
 
 // Close ends the subscription and releases the connection.
-func (s *StandingJoinQuery) Close(ctx context.Context) error {
+func (s *Standing[R]) Close(ctx context.Context) error {
 	err := s.q.Close(ctx)
 	_ = s.conn.Close()
 	s.end(err)
 	return err
-}
-
-// standingDial is withConn for sessions that outlive the call: same
-// dial-retry policy and same never-rerun rule, but on success the
-// connection is handed to the caller instead of closed.
-func standingDial[Q any](ctx context.Context, c *Client, run func(transport.Conn) (*Q, error)) (transport.Conn, *Q, error) {
-	attempts := c.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if !c.retryPause(ctx, attempt-1) {
-				return nil, nil, err
-			}
-		}
-		var conn transport.Conn
-		conn, err = c.dial(ctx)
-		if err != nil {
-			err = fmt.Errorf("party: dialing %s: %w", c.addr, err)
-			if ctx.Err() != nil {
-				return nil, nil, err
-			}
-			continue // nothing reached the peer: safe to retry
-		}
-		probe := &sendProbe{Conn: conn}
-		var q *Q
-		q, err = run(probe)
-		if err == nil {
-			return probe, q, nil
-		}
-		_ = conn.Close()
-		if probe.attempted.Load() || ctx.Err() != nil {
-			// The peer may have seen our header: never re-run.
-			return nil, nil, err
-		}
-	}
-	return nil, nil, err
 }

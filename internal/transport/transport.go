@@ -37,6 +37,11 @@ var (
 // reject corrupted length prefixes before allocating.
 const MaxFrameLen = 1 << 30
 
+// recvAllocStep is what tcpConn.Recv allocates for a frame before any
+// of its body has arrived (64 KiB); a frame up to this size costs one
+// allocation, a larger one doubles the buffer each time it fills.
+const recvAllocStep = 64 << 10
+
 // FrameOverhead is the per-frame on-wire cost beyond the payload: the
 // 4-byte big-endian length prefix the TCP transport writes.  The
 // in-memory pipe carries no prefix, but meters and the cost model charge
@@ -254,11 +259,21 @@ func (t *tcpConn) Recv(ctx context.Context) ([]byte, error) {
 	if n > MaxFrameLen {
 		return nil, fmt.Errorf("%w: declared %d bytes", ErrFrameTooLarge, n)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(t.nc, frame); err != nil {
-		return nil, opErr(ctx, "read frame body", err)
+	// The length prefix is the peer's word only: allocate a first step
+	// and grow as bytes actually arrive, so a bogus prefix cannot make
+	// this endpoint reserve memory the peer never sends.
+	frame := make([]byte, min(int(n), recvAllocStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(t.nc, frame[got:]); err != nil {
+			return nil, opErr(ctx, "read frame body", err)
+		}
+		if got = len(frame); got == int(n) {
+			return frame, nil
+		}
+		grown := make([]byte, min(int(n), 2*got))
+		copy(grown, frame)
+		frame = grown
 	}
-	return frame, nil
 }
 
 // Close implements Conn.

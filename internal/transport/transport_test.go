@@ -3,8 +3,11 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -336,4 +339,79 @@ func TestFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestTCPRecvAllocationFollowsArrivedBytes: the length prefix is only
+// the peer's claim.  A peer that declares a MaxFrameLen body, sends ten
+// bytes of it and hangs up must cost this endpoint a typed error and
+// (far) less than 1 MiB of heap — not the gigabyte it announced.
+func TestTCPRecvAllocationFollowsArrivedBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], MaxFrameLen)
+		c.Write(append(hdr[:], "ten bytes!"...))
+	}()
+	conn, err := Dial(context.Background(), "tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = conn.Recv(context.Background())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("Recv allocated %d bytes for a frame of which 10 arrived, want < 1 MiB", grew)
+	}
+}
+
+// scriptedNetConn is a net.Conn whose read side replays fixed bytes, so
+// Recv can be measured without a peer goroutine allocating alongside.
+type scriptedNetConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c *scriptedNetConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *scriptedNetConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestTCPRecvAllocationsPerFrame: growing the buffer as bytes arrive
+// must not tax ordinary traffic.  The frame buffer is Recv's only
+// size-dependent allocation, so a frame of exactly the first step must
+// cost what a one-byte frame costs (one buffer), and each doubling
+// beyond it exactly one more.
+func TestTCPRecvAllocationsPerFrame(t *testing.T) {
+	allocs := func(size int) float64 {
+		wire := make([]byte, 4+size)
+		binary.BigEndian.PutUint32(wire, uint32(size))
+		sc := &scriptedNetConn{r: bytes.NewReader(wire)}
+		conn := NewTCP(sc)
+		return testing.AllocsPerRun(20, func() {
+			sc.r.Reset(wire)
+			if frame, err := conn.Recv(context.Background()); err != nil || len(frame) != size {
+				t.Fatalf("Recv = %d bytes, %v; want %d", len(frame), err, size)
+			}
+		})
+	}
+	one := allocs(1)
+	if got := allocs(recvAllocStep); got != one {
+		t.Errorf("a %d-byte frame costs %v allocations, a 1-byte frame %v: want equal", recvAllocStep, got, one)
+	}
+	if got := allocs(4 * recvAllocStep); got != one+2 {
+		t.Errorf("a %d-byte frame costs %v allocations, want %v (two doublings)", 4*recvAllocStep, got, one+2)
+	}
 }
