@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit loc check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke bench-ec bench-ec-smoke experiments
+.PHONY: all build test vet race race-faults fuzz-smoke docs-check docs-drift lint lint-fix-audit loc check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke bench-ec bench-ec-smoke experiments
 
 all: check
 
@@ -34,6 +34,12 @@ race-faults:
 	$(GO) test -race -timeout 120s \
 		-run 'Stalled|Staller|AcceptError|Drain|Saturation|Timeout|Retry|Retries|Cancellation' \
 		./internal/party ./internal/transport ./internal/core ./internal/commutative
+
+# Ten seconds of coverage-guided fuzzing of wire.Decode — every vector
+# kind goes through the one getVector loop, so this fuzzes the whole
+# codec on each push instead of only replaying the committed seeds.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 
 # Documentation lint: every exported identifier in internal/* must have
 # a doc comment (field-deep in group/ec25519/transport), every
@@ -145,7 +151,7 @@ loc:
 		fi; \
 	done
 
-check: build vet test race race-faults lint docs-drift bench-obs-smoke bench-group-smoke bench-shard-smoke bench-delta-smoke bench-ec-smoke
+check: build vet test race race-faults fuzz-smoke lint docs-drift bench-obs-smoke bench-group-smoke bench-shard-smoke bench-delta-smoke bench-ec-smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

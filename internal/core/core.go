@@ -510,12 +510,14 @@ func dedup(vs [][]byte) [][]byte {
 	return out
 }
 
-// hashSet hashes each value and runs the Section 3.2.2 collision check.
+// hashSet hashes each value once and runs the Section 3.2.2 collision
+// check over those hashes.
 func (s *session) hashSet(vs [][]byte) ([]*big.Int, error) {
-	if cols := oracle.DetectCollisions(s.cfg.Oracle, vs); len(cols) > 0 {
+	xs := s.cfg.Oracle.HashAll(vs)
+	if cols := oracle.CollisionsAmong(vs, xs); len(cols) > 0 {
 		return nil, fmt.Errorf("%w: indices %d and %d", ErrHashCollision, cols[0].I, cols[0].J)
 	}
-	return s.cfg.Oracle.HashAll(vs), nil
+	return xs, nil
 }
 
 // encryptSet bulk-encrypts under k with the configured parallelism.

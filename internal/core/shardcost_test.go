@@ -54,12 +54,10 @@ func TestCostModelCrossCheckShardedIntersection(t *testing.T) {
 		t.Errorf("observed modexps = %d, want Ce = %d", got, ops.Ce)
 	}
 	// Ch doubles: one partition-routing hash plus one sub-protocol hash
-	// per value on each side.  The §3.2.2 collision check adds one more
-	// hash per value inside hashSet — an implementation pass outside the
-	// Section 6.1 census, priced identically in sharded and unsharded
-	// runs (each value hits exactly one sub-session's check).
-	if got, want := r.Counters.OracleHashes+s.Counters.OracleHashes, ops.Ch+int64(nS+nR); got != want {
-		t.Errorf("observed oracle hashes = %d, want Ch + collision pass = %d", got, want)
+	// per value on each side.  The §3.2.2 collision check runs over the
+	// sub-protocol's hashes and adds none.
+	if got, want := r.Counters.OracleHashes+s.Counters.OracleHashes, ops.Ch; got != want {
+		t.Errorf("observed oracle hashes = %d, want Ch = %d", got, want)
 	}
 	// Each sub-session draws its own commutative key: k per party.
 	wantKeys := costmodel.ShardedKeyGens(k, 1)
@@ -117,8 +115,8 @@ func TestCostModelCrossCheckShardedEquijoinChunked(t *testing.T) {
 	if got := r.Counters.ModExps() + s.Counters.ModExps(); got != ops.Ce {
 		t.Errorf("observed modexps = %d, want Ce = %d", got, ops.Ce)
 	}
-	if got, want := r.Counters.OracleHashes+s.Counters.OracleHashes, ops.Ch+int64(nS+nR); got != want {
-		t.Errorf("observed oracle hashes = %d, want Ch + collision pass = %d", got, want)
+	if got, want := r.Counters.OracleHashes+s.Counters.OracleHashes, ops.Ch; got != want {
+		t.Errorf("observed oracle hashes = %d, want Ch = %d", got, want)
 	}
 	// The CK census survives sharding: Σ_i (|V_S,i| + I_i) = |V_S| + |I|.
 	if got := int64(s.Counters.PayloadEncrypts + r.Counters.PayloadDecrypts); got != ops.CK {

@@ -111,13 +111,12 @@ func addOpCounts(os ...costmodel.OpCounts) costmodel.OpCounts {
 }
 
 // checkHashes asserts the observed oracle-hash census equals exactly
-// twice the closed form's Ch: every value a party hashes is hashed once
-// by the §3.2.2 collision sweep and once for the protocol, so the
-// factor is structural, not approximate.
+// the closed form's Ch: every value a party hashes is hashed once, and
+// the §3.2.2 collision sweep runs over those same hashes.
 func checkHashes(t *testing.T, wantCh int64, r, s obs.SessionSnapshot) {
 	t.Helper()
-	if got := r.Counters.OracleHashes + s.Counters.OracleHashes; got != 2*wantCh {
-		t.Errorf("total oracle hashes = %d, want 2·Ch = %d", got, 2*wantCh)
+	if got := r.Counters.OracleHashes + s.Counters.OracleHashes; got != wantCh {
+		t.Errorf("total oracle hashes = %d, want Ch = %d", got, wantCh)
 	}
 }
 
@@ -222,10 +221,10 @@ func TestStandingIntersectionExactUpdateCost(t *testing.T) {
 		t.Errorf("total modexps = %d, want %d", got, want.Ce)
 	}
 	checkHashes(t, want.Ch, r, s)
-	// The receiver hashes nothing during updates (2 per value, base run
+	// The receiver hashes nothing during updates (1 per value, base run
 	// only) and the sender draws no new keys after the base run.
-	if r.Counters.OracleHashes != int64(2*nR) {
-		t.Errorf("receiver hashes = %d, want %d", r.Counters.OracleHashes, 2*nR)
+	if r.Counters.OracleHashes != int64(nR) {
+		t.Errorf("receiver hashes = %d, want %d", r.Counters.OracleHashes, nR)
 	}
 	if got := r.Counters.KeyGens + s.Counters.KeyGens; got != 2 {
 		t.Errorf("total keygens = %d, want 2", got)

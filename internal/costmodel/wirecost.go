@@ -96,12 +96,35 @@ func StreamChunks(n, chunkSize int) int64 {
 	return int64((n + chunkSize - 1) / chunkSize)
 }
 
-// streamedVector is the codec payload of one streamed vector: the
-// Begin/End envelope, one count prefix per chunk frame, and n entries of
-// entryBytes each.
-func streamedVector(n int, chunks int64, entryBytes int) int64 {
-	return wire.EncodedStreamBeginLen + wire.EncodedStreamEndLen +
-		chunks*wire.VectorOverhead + int64(n)*int64(entryBytes)
+// vectorCost is the frame count and codec payload of one bulk vector of
+// n entries of entryBytes each — the single place the vector layout is
+// priced.  chunk <= 0 is the one-shot frame: a count prefix and the
+// entries.  chunk > 0 is the stream: the Begin/End envelope and
+// ⌈n/chunk⌉ chunk frames, each with its own count prefix, carrying the
+// same entries.
+func vectorCost(n, entryBytes, chunk int) (frames, payload int64) {
+	entries := int64(n) * int64(entryBytes)
+	if chunk <= 0 {
+		return 1, wire.VectorOverhead + entries
+	}
+	q := StreamChunks(n, chunk)
+	return q + 2, wire.EncodedStreamBeginLen + wire.EncodedStreamEndLen + q*wire.VectorOverhead + entries
+}
+
+// exchangeCost is the census shared by all four protocols, from R's
+// endpoint: R sends its header and Y_R (|V_R| elements); it receives
+// S's header, a reply of |V_R| entries of replyBytes each, and S's own
+// vector of |V_S| entries of ownBytes each.
+func exchangeCost(nS, nR, elemLen, replyBytes, ownBytes, chunk int) WireCost {
+	yrFrames, yrBytes := vectorCost(nR, elemLen, chunk)
+	replyFrames, reply := vectorCost(nR, replyBytes, chunk)
+	ownFrames, own := vectorCost(nS, ownBytes, chunk)
+	return WireCost{
+		FramesSent:       1 + yrFrames,
+		FramesRecv:       1 + replyFrames + ownFrames,
+		PayloadBytesSent: wire.EncodedHeaderLen + yrBytes,
+		PayloadBytesRecv: wire.EncodedHeaderLen + reply + own,
+	}
 }
 
 // IntersectionWireCost returns the exact census of the Section 3.3
@@ -111,12 +134,7 @@ func streamedVector(n int, chunks int64, entryBytes int) int64 {
 // elements).  Codewords total (|V_S|+2|V_R|)·k bits — the Section 6.1
 // formula.
 func IntersectionWireCost(nS, nR, elemLen int) WireCost {
-	return WireCost{
-		FramesSent:       2,
-		FramesRecv:       3,
-		PayloadBytesSent: wire.EncodedHeaderLen + wire.VectorOverhead + int64(nR*elemLen),
-		PayloadBytesRecv: wire.EncodedHeaderLen + 2*wire.VectorOverhead + int64((nS+nR)*elemLen),
-	}
+	return IntersectionWireCostChunked(nS, nR, elemLen, 0)
 }
 
 // IntersectionSizeWireCost equals IntersectionWireCost: the Section
@@ -138,32 +156,16 @@ func JoinSizeWireCost(mS, mR, elemLen int) WireCost {
 // extLen bytes.  Codewords total (|V_S|+3|V_R|)·k + |V_S|·k' bits with
 // k' = 8·extLen — the Section 6.1 formula.
 func JoinWireCost(nS, nR, elemLen, extLen int) WireCost {
-	return WireCost{
-		FramesSent:       2,
-		FramesRecv:       3,
-		PayloadBytesSent: wire.EncodedHeaderLen + wire.VectorOverhead + int64(nR*elemLen),
-		PayloadBytesRecv: wire.EncodedHeaderLen + 2*wire.VectorOverhead +
-			int64(2*nR*elemLen) +
-			int64(nS)*int64(elemLen+wire.ExtLenOverhead+extLen),
-	}
+	return JoinWireCostChunked(nS, nR, elemLen, extLen, 0)
 }
 
 // IntersectionWireCostChunked is IntersectionWireCost for a run in which
 // both parties stream with the given chunk size: every vector becomes
 // Begin + ⌈n/chunk⌉ StreamChunk frames + End.  Only the envelope
 // changes; the codeword bytes are identical to the legacy census.
-// chunk <= 0 falls back to the legacy (one-shot) census.
+// chunk <= 0 is the legacy (one-shot) census.
 func IntersectionWireCostChunked(nS, nR, elemLen, chunk int) WireCost {
-	if chunk <= 0 {
-		return IntersectionWireCost(nS, nR, elemLen)
-	}
-	qS, qR := StreamChunks(nS, chunk), StreamChunks(nR, chunk)
-	return WireCost{
-		FramesSent:       1 + (qR + 2),
-		FramesRecv:       1 + (qS + 2) + (qR + 2),
-		PayloadBytesSent: wire.EncodedHeaderLen + streamedVector(nR, qR, elemLen),
-		PayloadBytesRecv: wire.EncodedHeaderLen + streamedVector(nS, qS, elemLen) + streamedVector(nR, qR, elemLen),
-	}
+	return exchangeCost(nS, nR, elemLen, elemLen, elemLen, chunk)
 }
 
 // IntersectionSizeWireCostChunked equals IntersectionWireCostChunked,
@@ -183,16 +185,5 @@ func JoinSizeWireCostChunked(mS, mR, elemLen, chunk int) WireCost {
 // frames, each pair one entry of 2k bits), and the ext-pair vector
 // streams in ⌈|V_S|/chunk⌉ StreamExtChunk frames.
 func JoinWireCostChunked(nS, nR, elemLen, extLen, chunk int) WireCost {
-	if chunk <= 0 {
-		return JoinWireCost(nS, nR, elemLen, extLen)
-	}
-	qS, qR := StreamChunks(nS, chunk), StreamChunks(nR, chunk)
-	return WireCost{
-		FramesSent:       1 + (qR + 2),
-		FramesRecv:       1 + (qR + 2) + (qS + 2),
-		PayloadBytesSent: wire.EncodedHeaderLen + streamedVector(nR, qR, elemLen),
-		PayloadBytesRecv: wire.EncodedHeaderLen +
-			streamedVector(nR, qR, 2*elemLen) +
-			streamedVector(nS, qS, elemLen+wire.ExtLenOverhead+extLen),
-	}
+	return exchangeCost(nS, nR, elemLen, 2*elemLen, elemLen+wire.ExtLenOverhead+extLen, chunk)
 }

@@ -184,13 +184,21 @@ type Collision struct {
 // protocols handle separately); only distinct values with equal hashes
 // are reported.
 func DetectCollisions(o *Oracle, vs [][]byte) []Collision {
+	return CollisionsAmong(vs, o.HashAll(vs))
+}
+
+// CollisionsAmong is DetectCollisions over hashes the caller has already
+// computed — hashes[i] must be h(vs[i]) — so a protocol run that needs
+// the hashes anyway evaluates the oracle once per value, the C_h the
+// Section 6.1 census charges.
+func CollisionsAmong(vs [][]byte, hashes []*big.Int) []Collision {
 	type entry struct {
 		hash string
 		idx  int
 	}
 	entries := make([]entry, len(vs))
-	for i, v := range vs {
-		entries[i] = entry{hash: string(o.Hash(v).Bytes()), idx: i}
+	for i, h := range hashes {
+		entries[i] = entry{hash: string(h.Bytes()), idx: i}
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].hash != entries[j].hash {

@@ -10,7 +10,8 @@ import (
 // FuzzDecode hammers the codec with arbitrary bytes: it must never
 // panic, and everything it accepts must re-encode to an equivalent
 // message.  Run with `go test -fuzz FuzzDecode ./internal/wire` for a
-// real campaign; seeds alone run in normal `go test`.
+// real campaign; `make fuzz-smoke` (part of `make check`) runs ten
+// seconds of it, and the seeds alone run in normal `go test`.
 func FuzzDecode(f *testing.F) {
 	g := group.TestGroup()
 	codec := NewCodec(g)
@@ -20,6 +21,8 @@ func FuzzDecode(f *testing.F) {
 	y, _ := g.RandomElement(nil)
 	for _, m := range []Message{
 		Header{Protocol: ProtoIntersection, GroupBits: 256, GroupDigest: GroupDigest(g), SetSize: 7},
+		Header{Protocol: ProtoEquijoin, GroupBits: 256, GroupDigest: GroupDigest(g), SetSize: 7, Backend: group.CodeEC25519},
+		Header{Protocol: ProtoIntersection, GroupBits: 256, GroupDigest: GroupDigest(g), SetSize: 7, Shards: 4},
 		Elements{Elems: []*big.Int{x, y}},
 		Pairs{A: []*big.Int{x}, B: []*big.Int{y}},
 		Triples{A: []*big.Int{x}, B: []*big.Int{y}, C: []*big.Int{x}},
@@ -30,6 +33,11 @@ func FuzzDecode(f *testing.F) {
 		StreamChunk{Elems: []*big.Int{x, y}},
 		StreamExtChunk{Elem: []*big.Int{x}, Ext: [][]byte{[]byte("payload")}},
 		StreamEnd{Chunks: 3},
+		Subscribe{FromVersion: 5},
+		SubUpdate{From: 5, To: 6, Upserts: []*big.Int{x}, Deleted: []*big.Int{y}},
+		SubUpdate{From: 6, To: 8, HasExt: true, Upserts: []*big.Int{x, y}, UpsertExt: [][]byte{[]byte("payload"), {}}},
+		SubAck{Version: 6},
+		SubEnd{Code: SubEndClient},
 	} {
 		data, err := codec.Encode(m)
 		if err != nil {

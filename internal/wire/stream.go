@@ -122,70 +122,6 @@ func (c *Codec) decodeStreamBegin(buf []byte) (Message, error) {
 	return StreamBegin{Inner: inner, Count: uint32(n)}, nil
 }
 
-func (c *Codec) encodeStreamChunk(buf []byte, v StreamChunk) []byte {
-	buf = putCount(buf, len(v.Elems))
-	for _, e := range v.Elems {
-		buf = c.putElem(buf, e)
-	}
-	return buf
-}
-
-func (c *Codec) decodeStreamChunk(buf []byte) (Message, error) {
-	n, buf, err := getCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	v := StreamChunk{Elems: make([]*big.Int, n)}
-	for i := 0; i < n; i++ {
-		if v.Elems[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := trailing(buf); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (c *Codec) encodeStreamExtChunk(buf []byte, v StreamExtChunk) ([]byte, error) {
-	if len(v.Elem) != len(v.Ext) {
-		return nil, fmt.Errorf("wire: ext chunk length mismatch %d != %d", len(v.Elem), len(v.Ext))
-	}
-	buf = putCount(buf, len(v.Elem))
-	for i := range v.Elem {
-		buf = c.putElem(buf, v.Elem[i])
-		buf = putCount(buf, len(v.Ext[i]))
-		buf = append(buf, v.Ext[i]...)
-	}
-	return buf, nil
-}
-
-func (c *Codec) decodeStreamExtChunk(buf []byte) (Message, error) {
-	n, buf, err := getCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	v := StreamExtChunk{Elem: make([]*big.Int, n), Ext: make([][]byte, n)}
-	for i := 0; i < n; i++ {
-		if v.Elem[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-		var l int
-		if l, buf, err = getCount(buf); err != nil {
-			return nil, err
-		}
-		if len(buf) < l {
-			return nil, ErrTruncated
-		}
-		v.Ext[i] = append([]byte(nil), buf[:l]...)
-		buf = buf[l:]
-	}
-	if err := trailing(buf); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 func (c *Codec) encodeStreamEnd(buf []byte, v StreamEnd) []byte {
 	return putCount(buf, int(v.Chunks))
 }

@@ -136,9 +136,6 @@ func (c *Codec) decodeSubscribe(buf []byte) (Message, error) {
 }
 
 func (c *Codec) encodeSubUpdate(buf []byte, v SubUpdate) ([]byte, error) {
-	if v.HasExt && len(v.UpsertExt) != len(v.Upserts) {
-		return nil, fmt.Errorf("wire: sub-update ext mismatch %d != %d", len(v.UpsertExt), len(v.Upserts))
-	}
 	if !v.HasExt && len(v.UpsertExt) != 0 {
 		return nil, fmt.Errorf("wire: sub-update carries %d exts without the ext flag", len(v.UpsertExt))
 	}
@@ -148,20 +145,11 @@ func (c *Codec) encodeSubUpdate(buf []byte, v SubUpdate) ([]byte, error) {
 	if v.HasExt {
 		flag = 1
 	}
-	buf = append(buf, flag)
-	buf = putCount(buf, len(v.Upserts))
-	for i, e := range v.Upserts {
-		buf = c.putElem(buf, e)
-		if v.HasExt {
-			buf = putCount(buf, len(v.UpsertExt[i]))
-			buf = append(buf, v.UpsertExt[i]...)
-		}
+	buf, err := c.putVector(append(buf, flag), v.HasExt, v.UpsertExt, v.Upserts)
+	if err != nil {
+		return nil, err
 	}
-	buf = putCount(buf, len(v.Deleted))
-	for _, e := range v.Deleted {
-		buf = c.putElem(buf, e)
-	}
-	return buf, nil
+	return c.putVector(buf, false, nil, v.Deleted)
 }
 
 func (c *Codec) decodeSubUpdate(buf []byte) (Message, error) {
@@ -183,43 +171,15 @@ func (c *Codec) decodeSubUpdate(buf []byte) (Message, error) {
 	default:
 		return nil, fmt.Errorf("wire: sub-update ext flag %d", buf[0])
 	}
-	buf = buf[1:]
-	n, buf, err := getCount(buf)
+	cols, ext, buf, err := c.getVector(buf[1:], 1, v.HasExt)
 	if err != nil {
 		return nil, err
 	}
-	v.Upserts = make([]*big.Int, n)
-	if v.HasExt {
-		v.UpsertExt = make([][]byte, n)
-	}
-	for i := 0; i < n; i++ {
-		if v.Upserts[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-		if v.HasExt {
-			var l int
-			if l, buf, err = getCount(buf); err != nil {
-				return nil, err
-			}
-			if len(buf) < l {
-				return nil, ErrTruncated
-			}
-			v.UpsertExt[i] = append([]byte(nil), buf[:l]...)
-			buf = buf[l:]
-		}
-	}
-	if n, buf, err = getCount(buf); err != nil {
+	v.Upserts, v.UpsertExt = cols[0], ext
+	if cols, _, err = c.getBody(buf, 1, false); err != nil {
 		return nil, err
 	}
-	v.Deleted = make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		if v.Deleted[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := trailing(buf); err != nil {
-		return nil, err
-	}
+	v.Deleted = cols[0]
 	return v, nil
 }
 

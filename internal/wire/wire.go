@@ -10,11 +10,21 @@
 // protocol, the group, and the announced set size (the paper's permitted
 // additional information I = {|V_S|, |V_R|}).
 //
+// All of those vectors — one-shot, streamed in chunks, or pushed as a
+// standing query's churn — are one body: a count, then per entry one
+// to three fixed-width elements and optionally a length-prefixed
+// ciphertext.  A message kind only chooses the column count and
+// whether entries carry a ciphertext; putVector is the one loop that
+// writes the body and getVector the one loop that reads it.
+//
 // The encoding is deterministic and fixed-width: each group element
 // occupies exactly ElementLen bytes big-endian, so a message's byte count
 // is an exact function of the counts the paper's Section 6.1
 // communication analysis predicts.  Tests rely on this to verify the
-// k-bit-per-codeword accounting literally.
+// k-bit-per-codeword accounting literally.  Decoding is strict, and its
+// memory is bounded by the bytes that arrived: a declared count sizes
+// an allocation only after the frame has shown it holds that many
+// entries.
 //
 // The authoritative byte-level layout of every message family —
 // handshake, protocol frames, the streaming StreamBegin/Chunk/ExtChunk/
@@ -28,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"minshare/internal/group"
 )
@@ -131,8 +142,9 @@ var (
 	ErrBadShards = errors.New("wire: shard byte in sharded header must be > 1")
 )
 
-// MaxVectorLen bounds declared element counts so that a corrupt or
-// malicious length prefix cannot trigger a huge allocation.
+// MaxVectorLen bounds declared element counts.  It is a sanity limit,
+// not the memory bound: getVector refuses any count the frame's own
+// bytes cannot hold before it allocates for it.
 const MaxVectorLen = 1 << 24
 
 // Encoded-size constants.  The codec is deterministic and fixed-width,
@@ -159,18 +171,6 @@ const (
 	// kind(1) + protocol(1) + group bits(4) + group digest(32) +
 	// set size(8) + set version(8) + trace id(16) + span id(8).
 	EncodedHeaderLen = 1 + 1 + 4 + 32 + 8 + 8 + 16 + 8
-	// PreTraceEncodedHeaderLen is the header size before the trace-context
-	// fields (TraceID, SpanID) existed.  Decode still accepts it — the
-	// missing fields read as zero, which both already define as "untraced"
-	// / "no span" — so a mixed-version deployment completes the handshake
-	// and simply runs the session untraced.
-	PreTraceEncodedHeaderLen = EncodedHeaderLen - 16 - 8
-	// LegacyEncodedHeaderLen is the pre-S27 header size, before the
-	// set-version field existed.  Decode still accepts it — the missing
-	// SetVersion reads as 0, which the field already defines as
-	// "unversioned" — so a mixed-version deployment completes the
-	// handshake instead of failing with a truncation error.
-	LegacyEncodedHeaderLen = PreTraceEncodedHeaderLen - 8
 	// VectorOverhead is the fixed cost of any vector message beyond its
 	// elements: kind byte(1) + element count(4).
 	VectorOverhead = 1 + 4
@@ -221,7 +221,7 @@ type Header struct {
 	// TraceID is the distributed-trace identity for this protocol run.
 	// The session initiator mints it; the responder adopts it and echoes
 	// it back, so both endpoints' span trees stitch into one trace.  All
-	// zeros means "untraced" (an uninstrumented or pre-trace peer).
+	// zeros means "untraced" (an uninstrumented peer).
 	TraceID [16]byte
 	// SpanID is the announcing party's root span identity, which becomes
 	// the parent of the adopting peer's root span.  Zero when untraced.
@@ -319,15 +319,16 @@ func NewCodec(b group.Backend) *Codec {
 // communication formulas).
 func (c *Codec) ElemLen() int { return c.elemLen }
 
+// putElem appends x as exactly elemLen big-endian bytes, left-padded
+// with zeros, without allocating.
 func (c *Codec) putElem(buf []byte, x *big.Int) []byte {
-	b := x.Bytes()
-	pad := c.elemLen - len(b)
-	if pad < 0 {
+	if n := (x.BitLen() + 7) / 8; n > c.elemLen {
 		// Element wider than the group modulus: caller bug.
-		panic(fmt.Sprintf("wire: element of %d bytes exceeds width %d", len(b), c.elemLen))
+		panic(fmt.Sprintf("wire: element of %d bytes exceeds width %d", n, c.elemLen))
 	}
-	buf = append(buf, make([]byte, pad)...)
-	return append(buf, b...)
+	buf = append(buf, make([]byte, c.elemLen)...)
+	x.FillBytes(buf[len(buf)-c.elemLen:])
+	return buf
 }
 
 func (c *Codec) getElem(buf []byte) (*big.Int, []byte, error) {
@@ -335,6 +336,93 @@ func (c *Codec) getElem(buf []byte) (*big.Int, []byte, error) {
 		return nil, nil, ErrTruncated
 	}
 	return new(big.Int).SetBytes(buf[:c.elemLen]), buf[c.elemLen:], nil
+}
+
+// putVector appends one vector body: a count n, then n entries, each
+// one element from every column in order followed — when hasExt — by a
+// length-prefixed ciphertext.  Every vector-bearing kind is this body
+// with its own column count (DESIGN.md Section 10.3); this is the only
+// loop that writes elements into a frame.  The body is sized once, so
+// the loop itself never grows buf.
+func (c *Codec) putVector(buf []byte, hasExt bool, ext [][]byte, cols ...[]*big.Int) ([]byte, error) {
+	n := len(cols[0])
+	for _, col := range cols[1:] {
+		if len(col) != n {
+			return nil, fmt.Errorf("wire: vector length mismatch %d != %d", len(col), n)
+		}
+	}
+	size := 4 + n*len(cols)*c.elemLen // count prefix + fixed-width columns
+	if hasExt {
+		if len(ext) != n {
+			return nil, fmt.Errorf("wire: ext vector length mismatch %d != %d", len(ext), n)
+		}
+		for _, x := range ext {
+			size += ExtLenOverhead + len(x)
+		}
+	}
+	buf = putCount(slices.Grow(buf, size), n)
+	for i := 0; i < n; i++ {
+		for _, col := range cols {
+			buf = c.putElem(buf, col[i])
+		}
+		if hasExt {
+			buf = append(putCount(buf, len(ext[i])), ext[i]...)
+		}
+	}
+	return buf, nil
+}
+
+// getVector parses one vector body of ncols (at most 3) columns, the
+// inverse of putVector and the only loop that reads elements out of a
+// frame.  It refuses a count the remaining bytes cannot hold before it
+// allocates anything sized by that count, so a short hostile frame
+// costs its sender's bytes, not this side's memory.
+func (c *Codec) getVector(buf []byte, ncols int, hasExt bool) (cols [3][]*big.Int, ext [][]byte, rest []byte, err error) {
+	n, buf, err := getCount(buf)
+	if err != nil {
+		return cols, nil, nil, err
+	}
+	minEntry := ncols * c.elemLen
+	if hasExt {
+		minEntry += ExtLenOverhead
+	}
+	if int64(n)*int64(minEntry) > int64(len(buf)) {
+		return cols, nil, nil, fmt.Errorf("%w: %d entries declared, %d bytes follow", ErrTruncated, n, len(buf))
+	}
+	for k := 0; k < ncols; k++ {
+		cols[k] = make([]*big.Int, n)
+	}
+	if hasExt {
+		ext = make([][]byte, n)
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; k < ncols; k++ {
+			if cols[k][i], buf, err = c.getElem(buf); err != nil {
+				return cols, nil, nil, err
+			}
+		}
+		if hasExt {
+			var l int
+			if l, buf, err = getCount(buf); err != nil {
+				return cols, nil, nil, err
+			}
+			if len(buf) < l {
+				return cols, nil, nil, ErrTruncated
+			}
+			ext[i] = append([]byte(nil), buf[:l]...)
+			buf = buf[l:]
+		}
+	}
+	return cols, ext, buf, nil
+}
+
+// getBody parses a frame body that is exactly one vector.
+func (c *Codec) getBody(buf []byte, ncols int, hasExt bool) ([3][]*big.Int, [][]byte, error) {
+	cols, ext, buf, err := c.getVector(buf, ncols, hasExt)
+	if err == nil {
+		err = trailing(buf)
+	}
+	return cols, ext, err
 }
 
 func putCount(buf []byte, n int) []byte {
@@ -385,48 +473,22 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 			buf = append(buf, v.Shards)
 		}
 	case Elements:
-		buf = putCount(buf, len(v.Elems))
-		for _, e := range v.Elems {
-			buf = c.putElem(buf, e)
-		}
+		return c.putVector(buf, false, nil, v.Elems)
 	case Pairs:
-		if len(v.A) != len(v.B) {
-			return nil, fmt.Errorf("wire: pair vector length mismatch %d != %d", len(v.A), len(v.B))
-		}
-		buf = putCount(buf, len(v.A))
-		for i := range v.A {
-			buf = c.putElem(buf, v.A[i])
-			buf = c.putElem(buf, v.B[i])
-		}
+		return c.putVector(buf, false, nil, v.A, v.B)
 	case Triples:
-		if len(v.A) != len(v.B) || len(v.B) != len(v.C) {
-			return nil, fmt.Errorf("wire: triple vector length mismatch %d/%d/%d", len(v.A), len(v.B), len(v.C))
-		}
-		buf = putCount(buf, len(v.A))
-		for i := range v.A {
-			buf = c.putElem(buf, v.A[i])
-			buf = c.putElem(buf, v.B[i])
-			buf = c.putElem(buf, v.C[i])
-		}
+		return c.putVector(buf, false, nil, v.A, v.B, v.C)
 	case ExtPairs:
-		if len(v.Elem) != len(v.Ext) {
-			return nil, fmt.Errorf("wire: extpair vector length mismatch %d != %d", len(v.Elem), len(v.Ext))
-		}
-		buf = putCount(buf, len(v.Elem))
-		for i := range v.Elem {
-			buf = c.putElem(buf, v.Elem[i])
-			buf = putCount(buf, len(v.Ext[i]))
-			buf = append(buf, v.Ext[i]...)
-		}
+		return c.putVector(buf, true, v.Ext, v.Elem)
 	case ErrorMsg:
 		buf = putCount(buf, len(v.Text))
 		buf = append(buf, v.Text...)
 	case StreamBegin:
 		return c.encodeStreamBegin(buf, v)
 	case StreamChunk:
-		buf = c.encodeStreamChunk(buf, v)
+		return c.putVector(buf, false, nil, v.Elems)
 	case StreamExtChunk:
-		return c.encodeStreamExtChunk(buf, v)
+		return c.putVector(buf, true, v.Ext, v.Elem)
 	case StreamEnd:
 		buf = c.encodeStreamEnd(buf, v)
 	case Subscribe:
@@ -453,17 +515,14 @@ func (c *Codec) Decode(data []byte) (Message, error) {
 	buf := data[1:]
 	switch kind {
 	case KindHeader:
-		// Five accepted layouts, newest first: shard-announcing (backend
-		// byte plus a trailing shard-count byte), backend-announcing (one
-		// trailing backend-code byte), current (with trace context),
-		// pre-trace (with set version only), and legacy pre-S27
-		// (neither).  Fields absent from an older layout decode as zero,
-		// which each field defines as its "absent" value — for Backend,
-		// zero is the safe-prime domain every pre-backend release runs;
-		// for Shards, zero is unsharded —
-		// so a mixed-version deployment still completes the handshake.
+		// Three accepted layouts: shard-announcing (backend byte plus a
+		// trailing shard-count byte), backend-announcing (one trailing
+		// backend-code byte), and plain.  A trailing field absent from a
+		// shorter layout decodes as zero, which each defines as its
+		// "absent" value: Backend zero is the safe-prime domain, Shards
+		// zero is unsharded.
 		switch len(buf) {
-		case ShardEncodedHeaderLen - 1, BackendEncodedHeaderLen - 1, EncodedHeaderLen - 1, PreTraceEncodedHeaderLen - 1, LegacyEncodedHeaderLen - 1:
+		case ShardEncodedHeaderLen - 1, BackendEncodedHeaderLen - 1, EncodedHeaderLen - 1:
 		default:
 			return nil, fmt.Errorf("%w: header of %d bytes", ErrTruncated, len(buf))
 		}
@@ -472,13 +531,9 @@ func (c *Codec) Decode(data []byte) (Message, error) {
 		h.GroupBits = binary.BigEndian.Uint32(buf[1:5])
 		copy(h.GroupDigest[:], buf[5:37])
 		h.SetSize = binary.BigEndian.Uint64(buf[37:45])
-		if len(buf) >= PreTraceEncodedHeaderLen-1 {
-			h.SetVersion = binary.BigEndian.Uint64(buf[45:53])
-		}
-		if len(buf) >= EncodedHeaderLen-1 {
-			copy(h.TraceID[:], buf[53:69])
-			h.SpanID = binary.BigEndian.Uint64(buf[69:77])
-		}
+		h.SetVersion = binary.BigEndian.Uint64(buf[45:53])
+		copy(h.TraceID[:], buf[53:69])
+		h.SpanID = binary.BigEndian.Uint64(buf[69:77])
 		if len(buf) >= BackendEncodedHeaderLen-1 {
 			h.Backend = group.Code(buf[77])
 		}
@@ -490,83 +545,29 @@ func (c *Codec) Decode(data []byte) (Message, error) {
 		}
 		return h, nil
 	case KindElements:
-		n, buf, err := getCount(buf)
+		cols, _, err := c.getBody(buf, 1, false)
 		if err != nil {
 			return nil, err
 		}
-		v := Elements{Elems: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.Elems[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-		}
-		if err := trailing(buf); err != nil {
-			return nil, err
-		}
-		return v, nil
+		return Elements{Elems: cols[0]}, nil
 	case KindPairs:
-		n, buf, err := getCount(buf)
+		cols, _, err := c.getBody(buf, 2, false)
 		if err != nil {
 			return nil, err
 		}
-		v := Pairs{A: make([]*big.Int, n), B: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.A[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.B[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-		}
-		if err := trailing(buf); err != nil {
-			return nil, err
-		}
-		return v, nil
+		return Pairs{A: cols[0], B: cols[1]}, nil
 	case KindTriples:
-		n, buf, err := getCount(buf)
+		cols, _, err := c.getBody(buf, 3, false)
 		if err != nil {
 			return nil, err
 		}
-		v := Triples{A: make([]*big.Int, n), B: make([]*big.Int, n), C: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.A[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.B[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.C[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-		}
-		if err := trailing(buf); err != nil {
-			return nil, err
-		}
-		return v, nil
+		return Triples{A: cols[0], B: cols[1], C: cols[2]}, nil
 	case KindExtPairs:
-		n, buf, err := getCount(buf)
+		cols, ext, err := c.getBody(buf, 1, true)
 		if err != nil {
 			return nil, err
 		}
-		v := ExtPairs{Elem: make([]*big.Int, n), Ext: make([][]byte, n)}
-		for i := 0; i < n; i++ {
-			if v.Elem[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			var l int
-			if l, buf, err = getCount(buf); err != nil {
-				return nil, err
-			}
-			if len(buf) < l {
-				return nil, ErrTruncated
-			}
-			v.Ext[i] = append([]byte(nil), buf[:l]...)
-			buf = buf[l:]
-		}
-		if err := trailing(buf); err != nil {
-			return nil, err
-		}
-		return v, nil
+		return ExtPairs{Elem: cols[0], Ext: ext}, nil
 	case KindError:
 		l, buf, err := getCount(buf)
 		if err != nil {
@@ -582,9 +583,17 @@ func (c *Codec) Decode(data []byte) (Message, error) {
 	case KindStreamBegin:
 		return c.decodeStreamBegin(buf)
 	case KindStreamChunk:
-		return c.decodeStreamChunk(buf)
+		cols, _, err := c.getBody(buf, 1, false)
+		if err != nil {
+			return nil, err
+		}
+		return StreamChunk{Elems: cols[0]}, nil
 	case KindStreamExtChunk:
-		return c.decodeStreamExtChunk(buf)
+		cols, ext, err := c.getBody(buf, 1, true)
+		if err != nil {
+			return nil, err
+		}
+		return StreamExtChunk{Elem: cols[0], Ext: ext}, nil
 	case KindStreamEnd:
 		return c.decodeStreamEnd(buf)
 	case KindSubscribe:

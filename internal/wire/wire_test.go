@@ -70,14 +70,12 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHeaderDecodeLegacy pins mixed-version interop across all three
-// header generations: a pre-trace peer's 54-byte header (no trace
-// context) must decode with a zero TraceID/SpanID ("untraced"), and a
-// pre-S27 peer's 46-byte header (no set-version field either) must also
-// decode with SetVersion 0 ("unversioned") — neither may fail the
-// handshake as truncated.  The five accepted lengths (46/54/78/79/80)
-// are the rows of the wire-evolution table in DESIGN.md §10.2; any new
-// header field must add a row there and a case here.
+// TestHeaderDecodeLegacy pins the removal of the two header layouts no
+// build of this tree can emit: the pre-S27 46-byte header (no set
+// version) and the pre-trace 54-byte header (no trace context) are
+// rejected as truncated, like every other length that is not one of
+// the three rows (78/79/80) of the table in DESIGN.md §10.2; any new
+// header field must add a row there.
 func TestHeaderDecodeLegacy(t *testing.T) {
 	c, g := testCodec()
 	h := Header{
@@ -93,50 +91,14 @@ func TestHeaderDecodeLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name string
-		data []byte
-		want Header
-	}{
-		{"pre-trace 54-byte", data[:PreTraceEncodedHeaderLen], func() Header {
-			w := h
-			w.TraceID = [16]byte{}
-			w.SpanID = 0
-			return w
-		}()},
-		{"pre-S27 46-byte", data[:LegacyEncodedHeaderLen], func() Header {
-			w := h
-			w.TraceID = [16]byte{}
-			w.SpanID = 0
-			w.SetVersion = 0
-			return w
-		}()},
-	}
-	for _, tc := range cases {
-		msg, err := c.Decode(tc.data)
-		if err != nil {
-			t.Fatalf("%s: Decode: %v", tc.name, err)
-		}
-		got, ok := msg.(Header)
-		if !ok {
-			t.Fatalf("%s: decoded %T, want Header", tc.name, msg)
-		}
-		if got != tc.want {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-
-	// Any other length stays a decode error.
+	const preS27, preTrace = 46, 54
 	for _, n := range []int{
-		LegacyEncodedHeaderLen - 1,
-		LegacyEncodedHeaderLen + 3,
-		PreTraceEncodedHeaderLen - 1,
-		PreTraceEncodedHeaderLen + 3,
+		preS27 - 1, preS27, preS27 + 3,
+		preTrace - 1, preTrace, preTrace + 3,
 		EncodedHeaderLen - 1,
 	} {
-		if _, err := c.Decode(data[:n]); err == nil {
-			t.Errorf("%d-byte header decoded without error", n)
+		if _, err := c.Decode(data[:n]); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%d-byte header: err = %v, want ErrTruncated", n, err)
 		}
 	}
 }
