@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"minshare/internal/aggregate"
 	"minshare/internal/circuit"
@@ -31,7 +30,6 @@ import (
 	"minshare/internal/reldb"
 	"minshare/internal/selection"
 	"minshare/internal/transport"
-	"minshare/internal/wire"
 	"minshare/internal/yao"
 )
 
@@ -554,306 +552,6 @@ func BenchmarkExt_SQLMedicalQuery(b *testing.B) {
 		if _, err := query.Execute(context.Background(), cfg, cfg, cfg, q, tR, tS); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- S25: streaming pipelined execution vs legacy lock-step ---
-
-// runLatencyPair runs one intersection over a pipe whose two directions
-// are modelled as the paper's T1 link (Section 6.2) with the given RTT:
-// each endpoint's sends pass through a store-and-forward Latency
-// decorator, so transfer time and propagation delay are both real wall
-// time for the protocol.
-func runLatencyPair(b *testing.B, cfg core.Config, rtt time.Duration, vR, vS [][]byte) {
-	b.Helper()
-	ctx := context.Background()
-	connR, connS := transport.Pipe()
-	latR := transport.NewLatency(connR, rtt).WithBandwidth(transport.T1.BitsPerSecond)
-	latS := transport.NewLatency(connS, rtt).WithBandwidth(transport.T1.BitsPerSecond)
-	defer latR.Close()
-	defer latS.Close()
-	ch := make(chan error, 1)
-	go func() {
-		_, err := core.IntersectionSender(ctx, cfg, latS, vS)
-		ch <- err
-	}()
-	if _, err := core.IntersectionReceiver(ctx, cfg, latR, vR); err != nil {
-		b.Fatal(err)
-	}
-	if err := <-ch; err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkIntersectionPipelined measures the S25 tentpole: the same
-// |V| = 5000 intersection on a modelled T1 WAN, legacy one-shot frames
-// (ChunkSize 0) against the streaming pipeline (ChunkSize 256).  Legacy
-// serializes three vector transfers end to end; streaming overlaps the
-// two exchange directions and ships the aligned reply chunk by chunk
-// right behind Y_S, so roughly one whole vector transfer disappears
-// from the critical path at every RTT.
-func BenchmarkIntersectionPipelined(b *testing.B) {
-	const n = 5000
-	const chunk = 256
-	vR, vS := benchSets(n)
-	g := group.MustBuiltin(group.Bits256) // link-bound regime: Ce ≪ transfer time
-	for _, rtt := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
-		for _, mode := range []struct {
-			name  string
-			chunk int
-		}{{"legacy", 0}, {"pipelined", chunk}} {
-			b.Run(fmt.Sprintf("rtt=%s/%s", rtt, mode.name), func(b *testing.B) {
-				cfg := core.Config{Group: g, ChunkSize: mode.chunk}
-				for i := 0; i < b.N; i++ {
-					runLatencyPair(b, cfg, rtt, vR, vS)
-				}
-			})
-		}
-	}
-}
-
-// --- PR4: encrypted-set cache, cold vs warm sender (BENCH_PR4.json) ---
-
-// cacheBenchSets builds an asymmetric workload: a large server-side set
-// (the cached table) queried by a small client set — the repeated-query
-// regime the cache targets.  Half the client values are shared.
-func cacheBenchSets(nS, nR int) (vR [][]byte, recs []core.JoinRecord) {
-	recs = make([]core.JoinRecord, nS)
-	for i := range recs {
-		v := []byte(fmt.Sprintf("s-%06d", i))
-		recs[i] = core.JoinRecord{Value: v, Ext: []byte("payload for " + string(v))}
-	}
-	vR = make([][]byte, nR)
-	for i := range vR {
-		if i < nR/2 {
-			vR[i] = []byte(fmt.Sprintf("s-%06d", i)) // shared with S
-		} else {
-			vR[i] = []byte(fmt.Sprintf("r-%06d", i))
-		}
-	}
-	return vR, recs
-}
-
-// benchmarkEquijoinCache measures one equijoin session end to end, with
-// the sender either recomputing its encrypted table every run (cold:
-// the cache is rotated before each iteration) or replaying it (warm:
-// populated once before the timer starts).  The asymmetry nS ≫ nR makes
-// the sender's 2|V_S| bulk modexps dominate a cold run; a warm run pays
-// only the 5|V_R| per-session work (costmodel.JoinOpsWarm).
-func benchmarkEquijoinCache(b *testing.B, warm bool) {
-	const nS, nR = 5000, 200
-	vR, recs := cacheBenchSets(nS, nR)
-	g := group.MustBuiltin(group.Bits256)
-	cache := core.NewSenderSetCache(0, nil)
-	cfgS := core.Config{Group: g, SetCache: cache, CacheKey: core.SetCacheKey{
-		PeerHost: "bench-peer", Table: "t", Version: 1, Protocol: wire.ProtoEquijoin,
-	}}
-	cfgR := core.Config{Group: g}
-
-	runOnce := func() {
-		ctx := context.Background()
-		connR, connS := transport.Pipe()
-		defer connR.Close()
-		ch := make(chan error, 1)
-		go func() {
-			_, err := core.EquijoinSender(ctx, cfgS, connS, recs)
-			ch <- err
-		}()
-		res, err := core.EquijoinReceiver(ctx, cfgR, connR, vR)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-ch; err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Matches) != nR/2 {
-			b.Fatalf("matches = %d, want %d", len(res.Matches), nR/2)
-		}
-	}
-
-	b.ReportMetric(float64(costmodel.JoinOps(nS, nR, nR/2).Ce), "Ce-cold")
-	b.ReportMetric(float64(costmodel.JoinOpsWarm(nS, nR, nR/2).Ce), "Ce-warm")
-	if warm {
-		runOnce() // populate the cache, untimed
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !warm {
-			cache.Rotate()
-		}
-		runOnce()
-	}
-}
-
-func BenchmarkEquijoinCacheCold(b *testing.B) { benchmarkEquijoinCache(b, false) }
-func BenchmarkEquijoinCacheWarm(b *testing.B) { benchmarkEquijoinCache(b, true) }
-
-// --- PR6: observability instrumentation overhead (BENCH_PR6.json) ---
-
-// benchmarkObsOverhead measures the same intersection end to end with
-// the endpoints either detached (no obs session on the context — every
-// instrumentation branch must collapse to a nil check, so this is the
-// baseline) or attached (sessions, phase spans, per-frame transport
-// histograms, chunk timers and the flight recorder all live).  The
-// acceptance criterion for the tracing layer is that the two are
-// indistinguishable at protocol scale: the crypto dominates and the
-// instrumentation's atomic adds vanish in the noise.
-func benchmarkObsOverhead(b *testing.B, attached bool) {
-	n := 256
-	if testing.Short() {
-		n = 16
-	}
-	vR, vS := benchSets(n)
-	cfg := core.Config{Group: group.MustBuiltin(group.Bits256)}
-	reg := obs.NewRegistry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctxR, ctxS := context.Background(), context.Background()
-		var sessR, sessS *obs.Session
-		if attached {
-			sessR = reg.StartSession(obs.SessionInfo{Protocol: "intersection", Role: "receiver"})
-			sessS = reg.StartSession(obs.SessionInfo{Protocol: "intersection", Role: "sender"})
-			ctxR = obs.WithSession(ctxR, sessR)
-			ctxS = obs.WithSession(ctxS, sessS)
-		}
-		connR, connS := transport.Pipe()
-		ch := make(chan error, 1)
-		go func() {
-			_, err := core.IntersectionSender(ctxS, cfg, connS, vS)
-			sessS.End(err)
-			ch <- err
-		}()
-		_, rErr := core.IntersectionReceiver(ctxR, cfg, connR, vR)
-		sessR.End(rErr)
-		if rErr != nil {
-			b.Fatal(rErr)
-		}
-		if err := <-ch; err != nil {
-			b.Fatal(err)
-		}
-		connR.Close()
-	}
-}
-
-func BenchmarkObsOverheadIntersectionDetached(b *testing.B) { benchmarkObsOverhead(b, false) }
-func BenchmarkObsOverheadIntersectionAttached(b *testing.B) { benchmarkObsOverhead(b, true) }
-
-// BenchmarkObsOverheadSpanDetached pins the detached fast path at the
-// operation level: without a session, StartSpan returns nil and End is a
-// nil check — zero allocations, single-digit nanoseconds.
-func BenchmarkObsOverheadSpanDetached(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := obs.StartSpan(ctx, "bench")
-		sp.End()
-	}
-}
-
-// BenchmarkObsOverheadHistogramRecord is the cost each instrumented
-// frame/chunk pays when a session IS attached: one lock-free bucket add.
-func BenchmarkObsOverheadHistogramRecord(b *testing.B) {
-	var lat obs.Latencies
-	h := lat.Hist(obs.LatChunkPipeline)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Record(time.Duration(i))
-	}
-}
-
-// --- PR8: shard-parallel execution (BENCH_PR8.json) ---
-
-// shardBenchParams picks the sharded-bench regime: a set size and link
-// where one party's encryption time and the critical-path transfer time
-// are the same order of magnitude, so overlapping them (which is all a
-// single-processor host can gain) is visible in wall time.
-func shardBenchParams() (n int, g *group.Group, bw float64, rtt time.Duration) {
-	if testing.Short() {
-		return 64, group.MustBuiltin(group.Bits256), 20_000_000, time.Millisecond
-	}
-	return 2000, group.MustBuiltin(group.Bits512), 4_500_000, 10 * time.Millisecond
-}
-
-// shardedWallModel reports the costmodel's closed-form wall estimates
-// next to the measured numbers: per-modexp cost is calibrated live, the
-// compute term is the full Section 6.1 Ce census at that cost, and the
-// comm term is the wire census over the modelled link.  The p=8 row is
-// the projection a multi-processor host would see (compute divides by
-// min(k, p)); on this single-processor host only the overlap term of
-// the k=8/p=1 row is realizable.
-func shardedWallModel(b *testing.B, n int, g *group.Group, bw float64, rtt time.Duration, k int) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	x, _ := g.RandomElement(rng)
-	e, _ := g.RandomExponent(rng)
-	// Best of several batches: the calibration must not absorb a noisy
-	// neighbour's timeslice, or the model rows jump run to run.
-	const calib = 32
-	perExp := time.Duration(1 << 62)
-	for batch := 0; batch < 3; batch++ {
-		start := time.Now()
-		for i := 0; i < calib; i++ {
-			x = g.Exp(x, e)
-		}
-		if d := time.Since(start) / calib; d < perExp {
-			perExp = d
-		}
-	}
-
-	compute := time.Duration(costmodel.IntersectionOps(n, n).Ce) * perExp
-	w := costmodel.IntersectionWireCost(n, n, g.ElementLen())
-	comm := time.Duration(float64(8*(w.PayloadBytesSent+w.PayloadBytesRecv))/bw*float64(time.Second)) + 2*rtt
-	b.ReportMetric(float64(compute+comm), "model-seq-ns")
-	b.ReportMetric(float64(costmodel.ShardedWallEstimate(compute, comm, k, 1)), "model-p1-ns")
-	b.ReportMetric(float64(costmodel.ShardedWallEstimate(compute, comm, k, 8)), "model-p8-ns")
-}
-
-// benchmarkIntersectionSharded runs one intersection over a modelled
-// link with the given shard count; k = 1 is the classic single session
-// (byte-identical wire format), k = 8 splits the run into eight
-// sub-sessions multiplexed on the same connection, so each shard's
-// encrypted vectors transfer while other shards are still encrypting —
-// the two lock-step stages pipeline.  Backend and sets are identical
-// across k; only the negotiated shard count changes.
-func benchmarkIntersectionSharded(b *testing.B, shards int) {
-	n, g, bw, rtt := shardBenchParams()
-	vR, vS := benchSets(n)
-	cfg := core.Config{Group: g, Shards: shards}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := context.Background()
-		connR, connS := transport.Pipe()
-		latR := transport.NewLatency(connR, rtt).WithBandwidth(bw)
-		latS := transport.NewLatency(connS, rtt).WithBandwidth(bw)
-		ch := make(chan error, 1)
-		go func() {
-			_, err := core.IntersectionSender(ctx, cfg, latS, vS)
-			ch <- err
-		}()
-		res, err := core.IntersectionReceiver(ctx, cfg, latR, vR)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-ch; err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != n/2 {
-			b.Fatalf("|intersection| = %d, want %d", len(res.Values), n/2)
-		}
-		latR.Close()
-		latS.Close()
-	}
-	b.StopTimer()
-	if shards > 1 {
-		// Reported after the loop: ResetTimer discards earlier metrics.
-		shardedWallModel(b, n, g, bw, rtt, shards)
-	}
-}
-
-func BenchmarkIntersectionSharded(b *testing.B) {
-	for _, k := range []int{1, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) { benchmarkIntersectionSharded(b, k) })
 	}
 }
 

@@ -10,10 +10,7 @@
 //     interface methods too;
 //   - every intra-repository link in the *.md files resolves, so the
 //     cross-references between README.md, DESIGN.md, EXPERIMENTS.md and
-//     the benchmark records cannot silently rot;
-//   - the EXPERIMENTS.md benchmark-history table matches the committed
-//     BENCH_*.json records row for row (also available alone as
-//     `docscheck -drift`, the `make docs-drift` gate).
+//     bench/README.md cannot silently rot.
 //
 // Every violation is printed with its file:line before the nonzero
 // exit — a broken file never hides the rest of the findings.  The same
@@ -30,17 +27,12 @@ import (
 )
 
 func main() {
-	drift := flag.Bool("drift", false, "check only benchmark-history drift (EXPERIMENTS.md vs BENCH_*.json)")
 	flag.Parse()
 	root := "."
 	if flag.NArg() > 0 {
 		root = flag.Arg(0)
 	}
-	check := docs.CheckAll
-	if *drift {
-		check = docs.CheckBenchHistory
-	}
-	problems, err := check(root)
+	problems, err := docs.CheckAll(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)

@@ -15,9 +15,8 @@ import (
 // (the sharded census is proven equal to the unsharded one in
 // internal/costmodel's cross-check tests), the comm term is the wire
 // census over the link, and ShardedWallEstimate pipelines the two with
-// compute divided across min(k, P) processors.  This is the table
-// BENCH_PR8.json's projection rows come from; the measured side at this
-// host's processor count is BenchmarkIntersectionSharded.
+// compute divided across min(k, P) processors.  The measured side at
+// this host's processor count is psibench's isect_ec_shard4 workload.
 func runE12(env *environment) error {
 	n := 1_000_000
 	if env.quick {

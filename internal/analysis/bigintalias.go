@@ -5,9 +5,8 @@ import (
 	"go/types"
 )
 
-// BigIntAlias reports in-place mutation of big.Int and group.Nat
-// values that alias state shared through commutative.CachedSet or
-// group.Modulus accessors.
+// BigIntAlias reports in-place mutation of big.Int values that alias
+// state shared through commutative.CachedSet accessors.
 //
 // A CachedSet replays one bulk-exponentiation phase across many
 // sessions, so the slices its accessors (Elems, Payload, Key) return
@@ -19,17 +18,10 @@ import (
 // peer's transcript.  Values must be copied (new(big.Int).Set(x))
 // before mutation; the analyzer tracks aliases through assignment,
 // indexing and range within each function.
-//
-// The Montgomery fast path has the same shape of hazard: group.Nat is
-// a mutable word array, and Modulus.One returns a Nat that aliases the
-// Modulus's precomputed constant.  Calling a Nat mutator (Set, SetBig,
-// MontMul) on such a value corrupts every later exponentiation under
-// that Modulus, so the analyzer applies the identical no-shared-
-// mutation rule; copy with group.NewNat(m).Set(x) before mutating.
 var BigIntAlias = &Analyzer{
 	Name: "bigintalias",
-	Doc: "no mutating big.Int or group.Nat method may be called on values " +
-		"shared through commutative.CachedSet or group.Modulus accessors",
+	Doc: "no mutating big.Int method may be called on values " +
+		"shared through commutative.CachedSet accessors",
 	Run: runBigIntAlias,
 }
 
@@ -45,16 +37,9 @@ var bigIntMutators = map[string]bool{
 	"Sub": true, "UnmarshalJSON": true, "UnmarshalText": true, "Xor": true,
 }
 
-// natMutators is every group.Nat method that writes its receiver.
-var natMutators = map[string]bool{"Set": true, "SetBig": true, "MontMul": true}
-
 // cachedSetAccessors are the CachedSet methods whose results alias the
 // cached state.
 var cachedSetAccessors = map[string]bool{"Elems": true, "Payload": true, "Key": true}
-
-// modulusAccessors are the group.Modulus methods whose results alias
-// the precomputed Montgomery constants.
-var modulusAccessors = map[string]bool{"One": true}
 
 func runBigIntAlias(pass *Pass) {
 	// Objects known to alias cache-shared memory, discovered in source
@@ -83,13 +68,10 @@ func runBigIntAlias(pass *Pass) {
 			if !ok {
 				return false
 			}
-			if cachedSetAccessors[f.Name()] && p == commutativePath && r == "CachedSet" {
-				return true
-			}
-			return modulusAccessors[f.Name()] && p == groupPath && r == "Modulus"
+			return cachedSetAccessors[f.Name()] && p == commutativePath && r == "CachedSet"
 		case *ast.SelectorExpr:
-			// Direct field reads off a CachedSet or Modulus (visible
-			// inside the owning package): c.elems, m.oneMon, …
+			// Direct field reads off a CachedSet (visible inside the
+			// owning package): c.elems, …
 			if _, isField := pass.Pkg.Info.Selections[e]; !isField {
 				return false
 			}
@@ -97,8 +79,7 @@ func runBigIntAlias(pass *Pass) {
 			if t == nil {
 				return false
 			}
-			return isNamedType(t, commutativePath, "CachedSet") ||
-				isNamedType(t, groupPath, "Modulus")
+			return isNamedType(t, commutativePath, "CachedSet")
 		}
 		return false
 	}
@@ -145,19 +126,10 @@ func runBigIntAlias(pass *Pass) {
 			if !okRecv {
 				return true
 			}
-			switch {
-			case bigIntMutators[f.Name()] && p == "math/big" && r == "Int":
-				if isSharedExpr(sel.X) {
-					pass.Reportf(n.Pos(),
-						"in-place big.Int mutation (%s) of a value shared through commutative.CachedSet — copy it first with new(big.Int).Set(x)",
-						f.Name())
-				}
-			case natMutators[f.Name()] && p == groupPath && r == "Nat":
-				if isSharedExpr(sel.X) {
-					pass.Reportf(n.Pos(),
-						"in-place group.Nat mutation (%s) of a value shared through group.Modulus — copy it first with group.NewNat(m).Set(x)",
-						f.Name())
-				}
+			if bigIntMutators[f.Name()] && p == "math/big" && r == "Int" && isSharedExpr(sel.X) {
+				pass.Reportf(n.Pos(),
+					"in-place big.Int mutation (%s) of a value shared through commutative.CachedSet — copy it first with new(big.Int).Set(x)",
+					f.Name())
 			}
 		}
 		return true

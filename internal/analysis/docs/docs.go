@@ -1,13 +1,11 @@
 // Package docs implements the repo's documentation lint: every exported
 // top-level identifier in the internal/* packages must carry a doc
 // comment (with DeepDocPackages additionally checked down to exported
-// struct fields and interface methods), every intra-repository link in
-// the *.md files must resolve, and the EXPERIMENTS.md benchmark-history
-// table must stay in sync with the committed BENCH_*.json records.  It
-// backs both cmd/docscheck (the standalone driver) and cmd/psilint,
-// which folds these checks into the same exit-code contract as the
-// protocol-safety analyzers so `make check` surfaces doc and lint
-// findings in one pass.
+// struct fields and interface methods) and every intra-repository link
+// in the *.md files must resolve.  It backs both cmd/docscheck (the
+// standalone driver) and cmd/psilint, which folds these checks into the
+// same exit-code contract as the protocol-safety analyzers so `make
+// check` surfaces doc and lint findings in one pass.
 //
 // Every violation is reported, each addressed as "file:line: message";
 // a file that fails to parse is itself reported as a violation at its
@@ -40,12 +38,7 @@ func CheckAll(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	problems = append(problems, more...)
-	bench, err := CheckBenchHistory(root)
-	if err != nil {
-		return nil, err
-	}
-	return append(problems, bench...), nil
+	return append(problems, more...), nil
 }
 
 // DeepDocPackages names the packages (directories under internal/)

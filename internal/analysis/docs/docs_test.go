@@ -72,59 +72,3 @@ type Config struct {
 		}
 	}
 }
-
-const validRecord = `{"benchmark": "BenchmarkX", "command": "make bench-x", "date": "2026-08-08"}`
-
-func TestBenchHistoryInSync(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "BENCH_PR1.json", validRecord)
-	write(t, root, "EXPERIMENTS.md", "| [BENCH_PR1.json](BENCH_PR1.json) | x | y | `make bench-x` |\n")
-	problems, err := CheckBenchHistory(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 0 {
-		t.Errorf("in-sync tree reported %q", problems)
-	}
-}
-
-func TestBenchHistoryDrift(t *testing.T) {
-	root := t.TempDir()
-	// A record without a row, a row without a record, and a record
-	// missing its reproduction fields.
-	write(t, root, "BENCH_PR1.json", validRecord)
-	write(t, root, "BENCH_PR2.json", `{"benchmark": "B"}`)
-	write(t, root, "EXPERIMENTS.md", strings.Join([]string{
-		"| [BENCH_PR2.json](BENCH_PR2.json) | x | y | z |",
-		"| [BENCH_PR9.json](BENCH_PR9.json) | phantom | y | z |",
-	}, "\n"))
-	problems, err := CheckBenchHistory(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSubstrings := []string{
-		"missing record \"BENCH_PR9.json\"",
-		"no benchmark-history row",
-		"lacks the \"command\" field",
-		"lacks the \"date\" field",
-	}
-	for _, want := range wantSubstrings {
-		found := false
-		for _, p := range problems {
-			if strings.Contains(p, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no problem mentions %q in %q", want, problems)
-		}
-	}
-}
-
-func TestBenchHistoryNoExperimentsFile(t *testing.T) {
-	problems, err := CheckBenchHistory(t.TempDir())
-	if err != nil || len(problems) != 0 {
-		t.Errorf("empty tree: problems=%q err=%v", problems, err)
-	}
-}

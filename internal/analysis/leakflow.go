@@ -176,8 +176,7 @@ func leakSanitizer(f *types.Func) bool {
 	// streaming encryption drivers.
 	if funcPkgPath(f) == commutativePath {
 		switch name {
-		case "EncryptAll", "EncryptAllAt", "DecryptAll", "DecryptAllAt",
-			"EncryptStream", "DecryptStream":
+		case "EncryptAll", "EncryptAllAt", "DecryptAll", "DecryptAllAt", "EncryptStream":
 			return true
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"minshare/internal/commutative"
-	"minshare/internal/group"
 )
 
 func positives(cs *commutative.CachedSet) {
@@ -43,35 +42,4 @@ func negatives(cs *commutative.CachedSet, x *big.Int) *big.Int {
 	_ = cs.Elems()[0].Cmp(x)
 	_ = cs.Payload()
 	return cp
-}
-
-// natPositives: Modulus.One returns a Nat aliasing the Modulus's
-// precomputed Montgomery constant, so the Nat mutators get the same
-// no-shared-mutation treatment as big.Int mutators on cache state.
-func natPositives(m *group.Modulus, a, b *group.Nat, v *big.Int) {
-	one := m.One()
-	one.SetBig(m, v) // want `bigintalias: in-place group\.Nat mutation \(SetBig\)`
-	m.One().MontMul(m, a, b) // want `bigintalias: .*\(MontMul\)`
-	n := m.One()
-	n.Set(a) // want `bigintalias: .*\(Set\)`
-}
-
-// natNegatives: fresh Nats mutate freely, the sanctioned copy pattern
-// clears the taint, and non-mutating reads of One are fine.
-func natNegatives(m *group.Modulus, a, b *group.Nat, v *big.Int) *big.Int {
-	scratch := group.NewNat(m)
-	scratch.SetBig(m, v)
-	scratch.MontMul(m, scratch, a)
-
-	// Copy-then-mutate is the sanctioned pattern.
-	cp := group.NewNat(m).Set(m.One())
-	cp.MontMul(m, cp, b)
-
-	// Rebinding a tainted variable to a fresh copy clears the taint.
-	n := m.One()
-	n = group.NewNat(m).Set(n)
-	n.Set(a)
-
-	// Leaving Montgomery form reads without mutating.
-	return m.One().Big(m)
 }

@@ -25,21 +25,6 @@ type Chunk struct {
 // ahead of the consumer.  The consumer must drain the channel or cancel
 // ctx; after an error chunk the channel closes without further sends.
 func EncryptStream(ctx context.Context, s Scheme, k *Key, xs []*big.Int, chunkSize, parallelism int) <-chan Chunk {
-	return mapStream(ctx, xs, chunkSize, func(chunk []*big.Int, off int) ([]*big.Int, error) {
-		return EncryptAllAt(ctx, s, k, chunk, parallelism, off)
-	})
-}
-
-// DecryptStream is the decryption counterpart of EncryptStream.
-func DecryptStream(ctx context.Context, s Scheme, k *Key, ys []*big.Int, chunkSize, parallelism int) <-chan Chunk {
-	return mapStream(ctx, ys, chunkSize, func(chunk []*big.Int, off int) ([]*big.Int, error) {
-		return DecryptAllAt(ctx, s, k, chunk, parallelism, off)
-	})
-}
-
-// mapStream's f receives each chunk together with its base offset in
-// xs, so chunk-level failures can name the global element index.
-func mapStream(ctx context.Context, xs []*big.Int, chunkSize int, f func([]*big.Int, int) ([]*big.Int, error)) <-chan Chunk {
 	if chunkSize <= 0 {
 		chunkSize = len(xs)
 		if chunkSize == 0 {
@@ -54,7 +39,9 @@ func mapStream(ctx context.Context, xs []*big.Int, chunkSize int, f func([]*big.
 			if end > len(xs) {
 				end = len(xs)
 			}
-			ys, err := f(xs[off:end], off)
+			// The base offset lets a chunk-level failure name the
+			// global element index.
+			ys, err := EncryptAllAt(ctx, s, k, xs[off:end], parallelism, off)
 			if err != nil {
 				select {
 				case out <- Chunk{Off: off, Err: err}:

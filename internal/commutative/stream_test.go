@@ -66,32 +66,6 @@ func TestEncryptStreamMatchesEncryptAll(t *testing.T) {
 	}
 }
 
-func TestDecryptStreamRoundTrip(t *testing.T) {
-	s := testScheme(t)
-	rng := rand.New(rand.NewSource(4))
-	k, err := s.GenerateKey(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := streamTestVector(t, s, 9, 5)
-	ys, err := EncryptAll(context.Background(), s, k, xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []*big.Int
-	for c := range DecryptStream(context.Background(), s, k, ys, 4, 2) {
-		if c.Err != nil {
-			t.Fatal(c.Err)
-		}
-		back = append(back, c.Elems...)
-	}
-	for i := range xs {
-		if back[i].Cmp(xs[i]) != 0 {
-			t.Fatalf("element %d did not round-trip", i)
-		}
-	}
-}
-
 func TestEncryptStreamEmptyVector(t *testing.T) {
 	s := testScheme(t)
 	rng := rand.New(rand.NewSource(6))

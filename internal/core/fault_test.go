@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
 	"time"
 
@@ -386,4 +387,74 @@ func TestReceiverAbortsOnStalledSender(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestRecvVecAllocationFollowsArrivedChunks: a peer that announces
+// 2^24 values, opens the stream with a 6-byte StreamBegin repeating
+// that count and hangs up must cost the receiver the capped
+// reservation, not 8 (or, with the ext column, 32) bytes per announced
+// entry — 128 and 512 MiB.
+func TestRecvVecAllocationFollowsArrivedChunks(t *testing.T) {
+	const declared = 1 << 24
+	cases := []struct {
+		name  string
+		proto wire.Protocol
+		inner wire.Kind
+		recv  func(ctx context.Context, conn transport.Conn, vR [][]byte) error
+	}{
+		{"elements", wire.ProtoIntersection, wire.KindElements,
+			func(ctx context.Context, conn transport.Conn, vR [][]byte) error {
+				_, err := IntersectionReceiver(ctx, testConfig(1), conn, vR)
+				return err
+			}},
+		{"ext-pairs", wire.ProtoEquijoin, wire.KindExtPairs,
+			func(ctx context.Context, conn transport.Conn, vR [][]byte) error {
+				_, err := EquijoinReceiver(ctx, testConfig(1), conn, vR)
+				return err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vR := vals("r", 3)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			connR, connS := transport.Pipe()
+			defer connR.Close()
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				m := newMalicious(testConfig(2), connS)
+				if m.recv(ctx, t) == nil { // R's header
+					return
+				}
+				hdr := m.header(declared)
+				hdr.Protocol = tc.proto
+				m.send(ctx, t, hdr)
+				yR, ok := m.recv(ctx, t).(wire.Elements)
+				if !ok {
+					return
+				}
+				if tc.inner == wire.KindExtPairs {
+					// The equijoin receiver reads the reply about Y_R
+					// (sized by its own set) before S's vector.
+					m.send(ctx, t, wire.Pairs{A: yR.Elems, B: yR.Elems})
+				}
+				m.send(ctx, t, wire.StreamBegin{Inner: tc.inner, Count: declared})
+				connS.Close()
+			}()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.recv(ctx, connR, vR)
+			runtime.ReadMemStats(&after)
+			<-done
+			if !errors.Is(err, transport.ErrClosed) {
+				t.Fatalf("err = %v, want transport.ErrClosed", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+				t.Errorf("a StreamBegin declaring %d entries made the receiver allocate %d bytes", declared, grew)
+			}
+		})
+	}
 }

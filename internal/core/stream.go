@@ -242,6 +242,11 @@ func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs 
 	return w.end(ctx)
 }
 
+// vecReserve bounds the entries recvVec reserves on the word of a
+// StreamBegin, before any chunk exists (2 MiB at most, with the ext
+// column); past it the vector grows with the runs that arrive.
+const vecReserve = 1 << 16
+
 // recvVec receives one bulk vector of the given inner kind in either
 // encoding, presenting a legacy one-shot frame as a single run.  Each
 // run is validated as it arrives — cardinality against wantLen (-1:
@@ -300,11 +305,12 @@ func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, wha
 	if wantLen >= 0 && count != wantLen {
 		return fail(fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
 	}
-	all.a = make([]*big.Int, 0, count)
+	reserve := min(count, vecReserve)
+	all.a = make([]*big.Int, 0, reserve)
 	chunkKind := wire.KindStreamChunk
 	if inner == wire.KindExtPairs {
 		chunkKind = wire.KindStreamExtChunk
-		all.exts = make([][]byte, 0, count)
+		all.exts = make([][]byte, 0, reserve)
 	}
 	for chunks := uint32(0); ; chunks++ {
 		m, err := s.recvAny(ctx, chunkKind, wire.KindStreamEnd)

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 )
 
 // Common errors returned by the package.
@@ -55,9 +54,6 @@ type Group struct {
 
 	pMinus1 *big.Int // cached p-1
 	bits    int      // bit length of p
-
-	montOnce sync.Once // lazily builds mont on first Exp
-	mont     *Modulus  // Montgomery constants; nil above montMaxBits
 }
 
 // New constructs a Group from a safe prime p, validating that p and
@@ -151,43 +147,11 @@ func (g *Group) Mul(x, y *big.Int) *big.Int {
 	return z.Mod(z, g.p)
 }
 
-// montMaxBits bounds the moduli routed through the fixed-width
-// Montgomery path: exactly the 4-word (up to 256-bit) widths served by
-// the unrolled montMul4/exp4 kernel.  There, amortizing the
-// per-modulus setup (R², -p⁻¹, word conversion) across a session's
-// thousands of exponentiations plus the register-resident kernel beat
-// big.Int.Exp, which re-derives the setup per call; at wider moduli
-// math/big's assembly inner loops win, so those fall through.  The
-// crossover is measured by BenchmarkMontVsBigExp.
-const montMaxBits = 256
-
 // Exp returns x^e mod p.  This is the commutative-encryption primitive
-// f_e(x) of Example 1; its cost is the paper's C_e.  Moduli up to
-// montMaxBits are served by the precomputed fixed-width Montgomery
-// ladder (see Modulus); larger ones fall through to big.Int.Exp.
-// x must lie in [0, p) and e must be non-negative on the Montgomery
-// path, which all protocol call sites guarantee.
+// f_e(x) of Example 1; its cost is the paper's C_e.  Every modulus size
+// runs math/big's Exp, which is variable-time.
 func (g *Group) Exp(x, e *big.Int) *big.Int {
-	if m := g.montModulus(); m != nil &&
-		x.Sign() >= 0 && x.Cmp(g.p) < 0 && e.Sign() >= 0 && e.BitLen() <= 64*m.Words() {
-		return m.Exp(x, e)
-	}
 	return new(big.Int).Exp(x, e, g.p)
-}
-
-// montModulus returns the group's precomputed Montgomery constants,
-// building them on first use, or nil when the modulus is wide enough
-// that big.Int.Exp is faster.
-func (g *Group) montModulus() *Modulus {
-	g.montOnce.Do(func() {
-		if g.bits <= montMaxBits && (g.bits+63)/64 == 4 {
-			m, err := NewModulus(g.p)
-			if err == nil {
-				g.mont = m
-			}
-		}
-	})
-	return g.mont
 }
 
 // Inv returns the multiplicative inverse of x modulo p.

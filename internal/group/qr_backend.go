@@ -73,8 +73,7 @@ func (g *Group) InvertScalar(e *Scalar) (*Scalar, error) {
 }
 
 // Apply computes the commutative power function f_e(x) = x^e mod p —
-// one C_e of the paper's cost model.  It dispatches to the fixed-width
-// Montgomery ladder when the modulus has one precomputed (see Exp).
+// one C_e of the paper's cost model.
 func (g *Group) Apply(e *Scalar, x *big.Int) (*big.Int, error) {
 	if !g.Contains(x) {
 		return nil, ErrNotInGroup

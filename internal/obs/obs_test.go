@@ -68,6 +68,24 @@ func TestNilCountersAndSpansAreInert(t *testing.T) {
 	}
 }
 
+// TestDetachedPathAllocatesNothing pins the two per-operation costs every
+// instrumented call site pays: a span on a context that carries no
+// session, and one histogram record on an attached one.
+func TestDetachedPathAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		sp := StartSpan(ctx, "phase")
+		sp.End()
+	}); n != 0 {
+		t.Errorf("StartSpan/End without a session: %v allocs, want 0", n)
+	}
+	var lat Latencies
+	h := lat.Hist(LatChunkPipeline)
+	if n := testing.AllocsPerRun(100, func() { h.Record(time.Microsecond) }); n != 0 {
+		t.Errorf("Histogram.Record: %v allocs, want 0", n)
+	}
+}
+
 func TestSpanTreeAndRender(t *testing.T) {
 	reg := NewRegistry()
 	sess := reg.StartSession(SessionInfo{Protocol: "intersection", Role: "receiver"})
