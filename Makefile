@@ -37,9 +37,13 @@ race-faults:
 
 # Ten seconds of coverage-guided fuzzing of wire.Decode — every vector
 # kind goes through the one getVector loop, so this fuzzes the whole
-# codec on each push instead of only replaying the committed seeds.
+# codec on each push instead of only replaying the committed seeds —
+# and five each of the two ec25519 kernels against their differential
+# oracles (the five-exponentiation map, the unsigned-window ladder).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz '^FuzzMapToPoint$$' -fuzztime 5s ./internal/ec25519
+	$(GO) test -run xxx -fuzz '^FuzzScalarMult$$' -fuzztime 5s ./internal/ec25519
 
 # Documentation lint: every exported identifier in internal/* must have
 # a doc comment (field-deep in group/ec25519/transport) and every
@@ -62,12 +66,13 @@ lint:
 lint-fix-audit:
 	$(GO) run ./cmd/psilint -audit ./...
 
-# ec25519 per-primitive micro-benchmarks: the field kernels (invert,
-# sqrt-ratio), the point codec and map (MapToPoint, Decode, Encode),
-# the C_e scalar multiplication, and the three ECGroup entry points the
-# protocols call per element — each with allocs/op.  psibench's
-# isect_ec_pipe is the end-to-end view of the same constants.
-EC_BENCH = 'Fe(Invert|SqrtRatio)|MapToPoint|Decode|Encode|ScalarMult|EC(Apply|Contains|MapToElement)'
+# ec25519 per-primitive micro-benchmarks: the field kernels (mul,
+# square, add — the ladder's inner constants — invert, sqrt-ratio), the
+# point codec and map (MapToPoint, Decode, Encode), the C_e scalar
+# multiplication, and the three ECGroup entry points the protocols call
+# per element — each with allocs/op.  psibench's isect_ec_pipe is the
+# end-to-end view of the same constants.
+EC_BENCH = 'Fe(Mul|Square|Add|Invert|SqrtRatio)|MapToPoint|Decode|Encode|ScalarMult|EC(Apply|Contains|MapToElement)'
 
 bench-ec:
 	$(GO) test -run xxx -bench $(EC_BENCH) -benchmem ./internal/ec25519 ./internal/group

@@ -75,9 +75,14 @@ type Scheme interface {
 	// GenerateKey draws a fresh uniform key from KeyF.  The randomness
 	// source defaults to crypto/rand when nil.
 	GenerateKey(r io.Reader) (*Key, error)
-	// Encrypt computes f_e(x).  x must be a group element.
+	// Encrypt computes f_e(x).  x must be a group element: for any x
+	// that Backend().Contains rejects, Encrypt must return an error
+	// wrapping group.ErrNotInGroup and no result.  Package core relies
+	// on it — a received vector that is encrypted in full is not tested
+	// for membership a second time.
 	Encrypt(k *Key, x *big.Int) (*big.Int, error)
-	// Decrypt computes f_e^{-1}(y) (Property 3 of Definition 2).
+	// Decrypt computes f_e^{-1}(y) (Property 3 of Definition 2), with
+	// the same obligation towards a y outside the group as Encrypt.
 	Decrypt(k *Key, y *big.Int) (*big.Int, error)
 }
 

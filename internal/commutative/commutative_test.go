@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,15 +256,20 @@ func TestEncryptAllPropagatesErrors(t *testing.T) {
 
 func TestEncryptAllAllFailures(t *testing.T) {
 	// Every element invalid: the feeder must not deadlock when all
-	// workers exit early.
+	// workers exit early, and whichever worker fails first, the error
+	// names the first bad element and wraps group.ErrNotInGroup (core
+	// reports both to the peer).
 	s := testScheme(t)
 	k, _ := s.GenerateKey(rand.New(rand.NewSource(10)))
 	xs := make([]*big.Int, 64)
 	for i := range xs {
 		xs[i] = big.NewInt(0)
 	}
-	if _, err := EncryptAll(context.Background(), s, k, xs, 4); err == nil {
-		t.Error("expected error")
+	for rep := 0; rep < 50; rep++ {
+		_, err := EncryptAllAt(context.Background(), s, k, xs, 4, 100)
+		if !errors.Is(err, group.ErrNotInGroup) || !strings.Contains(err.Error(), "element 100:") {
+			t.Fatalf("err = %v, want ErrNotInGroup at element 100", err)
+		}
 	}
 }
 

@@ -80,16 +80,26 @@ func mapAll(ctx context.Context, xs []*big.Int, parallelism, base int, f func(*b
 
 	var (
 		wg       sync.WaitGroup
-		errOnce  sync.Once
+		mu       sync.Mutex
 		firstErr error
+		firstIdx int
 		next     = make(chan int)
 		quit     = make(chan struct{})
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
+	// fail records the failure at element i.  The feeder hands indices
+	// out in order and a worker always finishes the element it holds, so
+	// keeping the smallest failing index makes the reported element the
+	// first bad one of xs, whichever worker lost the race — core reports
+	// it to the peer as the offending element of a received vector.
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
 			close(quit)
-		})
+		}
+		if firstErr == nil || i < firstIdx {
+			firstErr, firstIdx = err, i
+		}
 	}
 
 	wg.Add(parallelism)
@@ -102,12 +112,12 @@ func mapAll(ctx context.Context, xs []*big.Int, parallelism, base int, f func(*b
 				// at most one in-flight exponentiation per worker, not
 				// grind through whatever the feeder already queued.
 				if err := ctx.Err(); err != nil {
-					fail(fmt.Errorf("commutative: bulk operation cancelled: %w", err))
+					fail(i, fmt.Errorf("commutative: bulk operation cancelled: %w", err))
 					return
 				}
 				y, err := f(xs[i])
 				if err != nil {
-					fail(fmt.Errorf("commutative: element %d: %w", base+i, err))
+					fail(i, fmt.Errorf("commutative: element %d: %w", base+i, err))
 					return
 				}
 				out[i] = y
@@ -122,7 +132,7 @@ feed:
 		// cases, so without this check a cancelled feed could keep
 		// dispatching elements as long as workers keep up.
 		if err := ctx.Err(); err != nil {
-			fail(fmt.Errorf("commutative: bulk operation cancelled: %w", err))
+			fail(i, fmt.Errorf("commutative: bulk operation cancelled: %w", err))
 			break
 		}
 		select {
@@ -135,7 +145,7 @@ feed:
 		case <-quit:
 			break feed
 		case <-ctx.Done():
-			fail(fmt.Errorf("commutative: bulk operation cancelled: %w", ctx.Err()))
+			fail(i, fmt.Errorf("commutative: bulk operation cancelled: %w", ctx.Err()))
 			break feed
 		}
 	}

@@ -390,16 +390,16 @@ func normShards(k uint8) uint8 {
 	return k
 }
 
-// checkElems validates a complete received element vector: expected
-// cardinality, group membership of every entry, and — when
-// requireSorted — the lexicographic order the protocols mandate
-// (footnote 3 of the paper: unsorted replies leak alignment
-// information).
+// checkElems validates a complete received element vector that is only
+// matched, never fed to the Scheme: expected cardinality, group
+// membership of every entry, and — when requireSorted — the
+// lexicographic order the protocols mandate (footnote 3 of the paper:
+// unsorted replies leak alignment information).
 func (s *session) checkElems(ctx context.Context, elems []*big.Int, wantLen int, what string, requireSorted bool) error {
 	if wantLen >= 0 && len(elems) != wantLen {
 		return fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, len(elems), wantLen)
 	}
-	return s.checkChunk(ctx, elems, nil, 0, what, requireSorted)
+	return s.checkChunk(ctx, elems, nil, 0, what, requireSorted, true)
 }
 
 // parallelCheckMin is the vector length below which checkChunk stays
@@ -407,17 +407,28 @@ func (s *session) checkElems(ctx context.Context, elems []*big.Int, wantLen int,
 // ~µs, so goroutine fan-out only pays for itself on larger runs.
 const parallelCheckMin = 32
 
-// checkChunk validates one contiguous run of a received vector — group
-// membership (a Jacobi-symbol test or curve-point decode per entry,
-// depending on the backend) and, when requireSorted,
-// ascending order including across the boundary from prev, the last
-// element of the preceding run (nil at the start of a vector).  The
-// membership tests shard across Config.Parallelism workers with the
+// checkChunk validates one contiguous run of a received vector: when
+// requireSorted, ascending order including across the boundary from
+// prev, the last element of the preceding run (nil at the start of a
+// vector), and, when members, group membership (a Jacobi-symbol test
+// or curve-point decode per entry, depending on the backend).
+//
+// Membership is tested once, by the first operation that consumes the
+// element.  A vector whose every element goes through Scheme.Encrypt or
+// Scheme.Decrypt — which reject exactly what Contains rejects — is
+// received with members false and its non-members surface there, as
+// ErrMalformedReply through notMember; only a vector that is merely
+// matched against others is tested here.
+//
+// The membership tests shard across Config.Parallelism workers with the
 // order check fused into the same pass; off is the run's offset within
 // the full vector, used for error indices.  On concurrent failures the
 // smallest index wins, keeping errors deterministic.  Workers observe
 // ctx so a cancelled session stops burning Jacobi symbols mid-vector.
-func (s *session) checkChunk(ctx context.Context, elems []*big.Int, prev *big.Int, off int, what string, requireSorted bool) error {
+func (s *session) checkChunk(ctx context.Context, elems []*big.Int, prev *big.Int, off int, what string, requireSorted, members bool) error {
+	if !requireSorted && !members {
+		return nil
+	}
 	check := func(i int) error {
 		if requireSorted {
 			p := prev
@@ -428,7 +439,7 @@ func (s *session) checkChunk(ctx context.Context, elems []*big.Int, prev *big.In
 				return fmt.Errorf("%w: %s is not sorted at index %d", ErrMalformedReply, what, off+i)
 			}
 		}
-		if !s.cfg.Group.Contains(elems[i]) {
+		if members && !s.cfg.Group.Contains(elems[i]) {
 			return fmt.Errorf("%w: %s element %d is not a group member", ErrMalformedReply, what, off+i)
 		}
 		return nil
@@ -440,7 +451,7 @@ func (s *session) checkChunk(ctx context.Context, elems []*big.Int, prev *big.In
 	if p > len(elems) {
 		p = len(elems)
 	}
-	if p <= 1 || len(elems) < parallelCheckMin {
+	if p <= 1 || len(elems) < parallelCheckMin || !members {
 		for i := range elems {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -525,9 +536,28 @@ func (s *session) encryptSet(ctx context.Context, k *commutative.Key, xs []*big.
 	return commutative.EncryptAll(ctx, s.cfg.Scheme, k, xs, s.cfg.Parallelism)
 }
 
-// decryptSet bulk-decrypts under k with the configured parallelism.
-func (s *session) decryptSet(ctx context.Context, k *commutative.Key, ys []*big.Int) ([]*big.Int, error) {
-	return commutative.DecryptAll(ctx, s.cfg.Scheme, k, ys, s.cfg.Parallelism)
+// encryptReceived is encryptSet for the run at offset off of the
+// received vector what, whose membership test is this encryption.
+func (s *session) encryptReceived(ctx context.Context, k *commutative.Key, xs []*big.Int, off int, what string) ([]*big.Int, error) {
+	ys, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, k, xs, s.cfg.Parallelism, off)
+	return ys, notMember(err, what)
+}
+
+// decryptReceived is the decryption counterpart of encryptReceived.
+func (s *session) decryptReceived(ctx context.Context, k *commutative.Key, ys []*big.Int, off int, what string) ([]*big.Int, error) {
+	xs, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, ys, s.cfg.Parallelism, off)
+	return xs, notMember(err, what)
+}
+
+// notMember turns the group.ErrNotInGroup with which the Scheme refused
+// an element of the received vector what into the ErrMalformedReply a
+// failed membership test is; err already names the element's index in
+// the whole vector.  Any other error passes through.
+func notMember(err error, what string) error {
+	if errors.Is(err, group.ErrNotInGroup) {
+		return fmt.Errorf("%w: %s: %v", ErrMalformedReply, what, err)
+	}
+	return err
 }
 
 // sortedCopy returns the elements in ascending numeric order, which for

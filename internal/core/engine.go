@@ -136,13 +136,13 @@ func (s *session) runReceiver(ctx context.Context, p protocol, vR [][]byte) (*re
 		if run.reply, err = s.recvPairsDecrypt(ctx, eR, len(vR), "f_eS(Y_R)"); err != nil {
 			return nil, err
 		}
-		run.peer, err = s.recvVec(ctx, wire.KindExtPairs, peerSize, "f_eS(h(V_S))", true, nil)
+		run.peer, err = s.recvVec(ctx, wire.KindExtPairs, peerSize, "f_eS(h(V_S))", true, true, nil)
 		return run, err
 	}
 	if run.peer.a, run.zS, err = s.recvReencrypt(ctx, eR, peerSize, "Y_S"); err != nil {
 		return nil, err
 	}
-	run.reply.a, err = s.recvElems(ctx, len(vR), "f_eS(Y_R)", !p.aligned)
+	run.reply.a, err = s.recvElems(ctx, len(vR), "f_eS(Y_R)", !p.aligned, true)
 	return run, err
 }
 
@@ -202,7 +202,8 @@ func (s *session) runSender(ctx context.Context, p protocol, vS, exts [][]byte) 
 	err = s.duplex(ctx, true,
 		func(ctx context.Context) error { return s.sendElems(ctx, run.own.Set.Elems()) },
 		func(ctx context.Context) (rerr error) {
-			run.yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true)
+			// Every y is encrypted below, which tests its membership.
+			run.yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true, false)
 			return rerr
 		})
 	sp.End()
@@ -213,13 +214,13 @@ func (s *session) runSender(ctx context.Context, p protocol, vS, exts [][]byte) 
 	if p.aligned {
 		// Preserving the received order lets each chunk go on the wire
 		// while the next is still exponentiating.
-		return run, s.streamEncryptSend(ctx, keys.key, run.yR)
+		return run, s.streamEncryptSend(ctx, keys.key, run.yR, "Y_R")
 	}
 	// Sorting needs the complete vector, so the encryption cannot
 	// overlap this send; the sorted result still streams out chunked.
 	sp = obs.StartSpan(ctx, "re-encrypt")
 	defer sp.End()
-	zR, err := s.encryptSet(ctx, keys.key, run.yR)
+	zR, err := s.encryptReceived(ctx, keys.key, run.yR, 0, "Y_R")
 	if err != nil {
 		return nil, s.abort(ctx, err)
 	}

@@ -210,12 +210,12 @@ func (s *session) sendElems(ctx context.Context, elems []*big.Int) error {
 	return s.sendVec(ctx, wire.KindElements, vec{a: elems})
 }
 
-// streamEncryptSend computes f_k(x) for every x in xs and ships the
-// results in input order.  Streaming mode pipelines: each chunk goes on
-// the wire as soon as it is exponentiated, while the worker pool is
-// already on the next one; legacy mode is the same loop over a single
-// chunk.
-func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs []*big.Int) error {
+// streamEncryptSend computes f_k(x) for every x of the received vector
+// what and ships the results in input order.  Streaming mode pipelines:
+// each chunk goes on the wire as soon as it is exponentiated, while the
+// worker pool is already on the next one; legacy mode is the same loop
+// over a single chunk.  The encryption is the vector's membership test.
+func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs []*big.Int, what string) error {
 	sp := obs.StartSpan(ctx, "re-encrypt")
 	defer sp.End()
 	w, err := s.beginVec(ctx, wire.KindElements, len(xs))
@@ -229,7 +229,7 @@ func (s *session) streamEncryptSend(ctx context.Context, k *commutative.Key, xs 
 	for c := range ch {
 		if c.Err != nil {
 			// An error chunk is terminal; the channel is already closed.
-			return s.abort(ctx, c.Err)
+			return s.abort(ctx, notMember(c.Err, what))
 		}
 		if err := w.write(ctx, vec{a: c.Elems}); err != nil {
 			cancel()
@@ -250,13 +250,15 @@ const vecReserve = 1 << 16
 // recvVec receives one bulk vector of the given inner kind in either
 // encoding, presenting a legacy one-shot frame as a single run.  Each
 // run is validated as it arrives — cardinality against wantLen (-1:
-// any), group membership of every element, and, when sorted, ascending
-// order of the first component across run boundaries (footnote 3 of
-// the paper: unsorted replies leak alignment) — and then handed to
-// onRun, when non-nil, with its offset in the vector before the next
-// frame is read.  Validation failures abort the session (the peer gets
-// a wire.ErrorMsg).  Returns the whole vector.
-func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, what string, sorted bool, onRun func(off int, run vec) error) (vec, error) {
+// any), when sorted, ascending order of the first component across run
+// boundaries (footnote 3 of the paper: unsorted replies leak
+// alignment), and, when members, group membership of every element
+// (false for a vector the caller encrypts or decrypts in full: see
+// checkChunk) — and then handed to onRun, when non-nil, with its offset
+// in the vector before the next frame is read.  Validation failures
+// abort the session (the peer gets a wire.ErrorMsg).  Returns the whole
+// vector.
+func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, what string, sorted, members bool, onRun func(off int, run vec) error) (vec, error) {
 	var all vec
 	fail := func(err error) (vec, error) { return vec{}, s.abort(ctx, err) }
 	// check validates the run that follows all and offers it to onRun.
@@ -265,11 +267,11 @@ func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, wha
 		if n := all.len(); n > 0 {
 			prev = all.a[n-1]
 		}
-		if err := s.checkChunk(ctx, run.a, prev, all.len(), what, sorted); err != nil {
+		if err := s.checkChunk(ctx, run.a, prev, all.len(), what, sorted, members); err != nil {
 			return s.abort(ctx, err)
 		}
 		if run.b != nil {
-			if err := s.checkChunk(ctx, run.b, nil, all.len(), what+" (second component)", false); err != nil {
+			if err := s.checkChunk(ctx, run.b, nil, all.len(), what+" (second component)", false, members); err != nil {
 				return s.abort(ctx, err)
 			}
 		}
@@ -341,16 +343,18 @@ func (s *session) recvVec(ctx context.Context, inner wire.Kind, wantLen int, wha
 }
 
 // recvElems receives and validates one bare element vector.
-func (s *session) recvElems(ctx context.Context, wantLen int, what string, sorted bool) ([]*big.Int, error) {
-	v, err := s.recvVec(ctx, wire.KindElements, wantLen, what, sorted, nil)
+func (s *session) recvElems(ctx context.Context, wantLen int, what string, sorted, members bool) ([]*big.Int, error) {
+	v, err := s.recvVec(ctx, wire.KindElements, wantLen, what, sorted, members, nil)
 	return v.a, err
 }
 
 // recvPipelined is recvVec with a worker: work runs on each validated
 // run, in order, on its own goroutine while the next run is still
-// arriving.  The first work error stops further work (later runs are
-// drained unprocessed) and aborts the session once the receive has
-// unwound; a receive error takes precedence.
+// arriving.  work must put every element through encryptReceived or
+// decryptReceived — that is the vector's membership test.  The first
+// work error stops further work (later runs are drained unprocessed)
+// and aborts the session once the receive has unwound; a receive error
+// takes precedence.
 func (s *session) recvPipelined(ctx context.Context, inner wire.Kind, wantLen int, what string, sorted bool, work func(off int, run vec) error) (vec, error) {
 	type job struct {
 		off int
@@ -373,7 +377,7 @@ func (s *session) recvPipelined(ctx context.Context, inner wire.Kind, wantLen in
 			}
 		}
 	}()
-	all, err := s.recvVec(ctx, inner, wantLen, what, sorted, func(off int, run vec) error {
+	all, err := s.recvVec(ctx, inner, wantLen, what, sorted, false, func(off int, run vec) error {
 		select {
 		case jobs <- job{off, run}:
 			return nil
@@ -401,7 +405,7 @@ func (s *session) recvReencrypt(ctx context.Context, k *commutative.Key, wantLen
 	got, err := s.recvPipelined(ctx, wire.KindElements, wantLen, what, true, func(off int, run vec) error {
 		// off is the run's base offset, so element errors name the
 		// global index.
-		ys, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, k, run.a, s.cfg.Parallelism, off)
+		ys, err := s.encryptReceived(ctx, k, run.a, off, what)
 		out.append(vec{a: ys})
 		return err
 	})
@@ -419,11 +423,11 @@ func (s *session) recvEncryptPairsSend(ctx context.Context, kA, kB *commutative.
 		return err
 	}
 	_, err = s.recvPipelined(ctx, wire.KindElements, wantLen, what, true, func(off int, run vec) error {
-		withA, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kA, run.a, s.cfg.Parallelism, off)
+		withA, err := s.encryptReceived(ctx, kA, run.a, off, what)
 		if err != nil {
 			return err
 		}
-		withB, err := commutative.EncryptAllAt(ctx, s.cfg.Scheme, kB, run.a, s.cfg.Parallelism, off)
+		withB, err := s.encryptReceived(ctx, kB, run.a, off, what)
 		if err != nil {
 			return err
 		}
@@ -442,11 +446,11 @@ func (s *session) recvEncryptPairsSend(ctx context.Context, kA, kB *commutative.
 func (s *session) recvPairsDecrypt(ctx context.Context, k *commutative.Key, wantLen int, what string) (vec, error) {
 	var out vec
 	_, err := s.recvPipelined(ctx, wire.KindPairs, wantLen, what, false, func(off int, run vec) error {
-		a, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, run.a, s.cfg.Parallelism, off)
+		a, err := s.decryptReceived(ctx, k, run.a, off, what)
 		if err != nil {
 			return err
 		}
-		b, err := commutative.DecryptAllAt(ctx, s.cfg.Scheme, k, run.b, s.cfg.Parallelism, off)
+		b, err := s.decryptReceived(ctx, k, run.b, off, what+" (second component)")
 		if err != nil {
 			return err
 		}

@@ -502,7 +502,7 @@ func TestParallelChunkValidation(t *testing.T) {
 	}
 
 	// Cross-chunk sortedness: prev boundary element out of order.
-	if err := s.checkChunk(context.Background(), elems[50:], elems[60], 50, "vec", true); err == nil {
+	if err := s.checkChunk(context.Background(), elems[50:], elems[60], 50, "vec", true, true); err == nil {
 		t.Error("chunk accepted despite violating the cross-chunk boundary order")
 	}
 }

@@ -120,7 +120,7 @@ func ThirdPartyAnalyst(ctx context.Context, cfg Config, connA, connB transport.C
 	}
 	// Cardinality is checked after both handshakes: each party ships the
 	// *other* party's set, so the expected length is known only then.
-	zFromA, err := sa.recvElems(ctx, -1, "Z from A", false) // = Z_B: B's values, doubly encrypted
+	zFromA, err := sa.recvElems(ctx, -1, "Z from A", false, true) // = Z_B: B's values, doubly encrypted
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("core: analyst receiving from A: %w", err)
@@ -131,7 +131,7 @@ func ThirdPartyAnalyst(ctx context.Context, cfg Config, connA, connB transport.C
 		sp.End()
 		return nil, fmt.Errorf("core: analyst handshake with B: %w", err)
 	}
-	zFromB, err := sb.recvElems(ctx, -1, "Z from B", false) // = Z_A: A's values, doubly encrypted
+	zFromB, err := sb.recvElems(ctx, -1, "Z from B", false, true) // = Z_A: A's values, doubly encrypted
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: analyst receiving from B: %w", err)

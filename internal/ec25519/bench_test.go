@@ -24,6 +24,43 @@ func benchPoint() (Point, [HashLen]byte, [32]byte) {
 	return MapToPoint(seed[:]), seed, e
 }
 
+// The ladder's inner constants: one window of ScalarMult is 20
+// multiplications, 16 squarings and some 40 additions/subtractions.
+// Each op feeds its own result back in, so the loop measures latency,
+// as the dependent chains of the point formulas do.
+func BenchmarkFeMul(b *testing.B) {
+	p, _, _ := benchPoint()
+	v := p.x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feMul(&v, &v, &p.y)
+	}
+	sinkFe = v
+}
+
+func BenchmarkFeSquare(b *testing.B) {
+	p, _, _ := benchPoint()
+	v := p.x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feSquare(&v, &v)
+	}
+	sinkFe = v
+}
+
+func BenchmarkFeAdd(b *testing.B) {
+	p, _, _ := benchPoint()
+	v := p.x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feAdd(&v, &v, &p.y)
+	}
+	sinkFe = v
+}
+
 func BenchmarkFeInvert(b *testing.B) {
 	p, _, _ := benchPoint()
 	b.ReportAllocs()

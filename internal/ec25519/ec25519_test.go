@@ -331,7 +331,7 @@ func checkChainAgainstPow(t *testing.T, name string, a fe) {
 	}{
 		{"feInvert", feInvert, expInvert},
 		{"fePow2523", fePow2523, expSqrt},
-		{"feLegendre", feLegendre, expLegendre},
+		{"refLegendre", refLegendre, expLegendre},
 	} {
 		var want, got fe
 		fePow(&want, &a, c.exp)

@@ -32,9 +32,16 @@ var (
 	// montAConst is the Montgomery coefficient A = 486662 of
 	// v² = u³ + Au² + u.
 	montAConst fe
+	// negAConst is -A, the numerator of Elligator2's first candidate u.
+	negAConst fe
 	// sqrtNegAPlus2Const is √-(A+2), the scaling factor of the
 	// birational map from Montgomery u,v to Edwards x.
 	sqrtNegAPlus2Const fe
+	// sqrtTwoOverIConst and sqrtTwoOverNegIConst are √(2/√-1) and
+	// √(2/-√-1): what turns a failed root of g(u₁) into the root of
+	// g(u₂) = 2r²·g(u₁) (2 and ±√-1 are both non-squares, so the
+	// quotients are squares).
+	sqrtTwoOverIConst, sqrtTwoOverNegIConst fe
 
 	// orderL is the subgroup order ℓ = 2^252 + 27742…493.
 	orderL *big.Int
@@ -66,12 +73,20 @@ func init() {
 	feAdd(&d2Const, &dConst, &dConst)
 
 	montAConst = fe{l0: 486662}
+	feNeg(&negAConst, &montAConst)
 
 	// √-(A+2): -(486664) is a residue mod p.
 	negAPlus2 := fe{l0: 486664}
 	feNeg(&negAPlus2, &negAPlus2)
 	if !feSqrtRatio(&sqrtNegAPlus2Const, &negAPlus2, &feOne) {
 		panic("ec25519: -(A+2) unexpectedly not a square")
+	}
+
+	var negI fe
+	feNeg(&negI, &sqrtM1Const)
+	if !feSqrtRatio(&sqrtTwoOverIConst, &two, &sqrtM1Const) ||
+		!feSqrtRatio(&sqrtTwoOverNegIConst, &two, &negI) {
+		panic("ec25519: 2/±sqrt(-1) unexpectedly not a square")
 	}
 
 	orderL, _ = new(big.Int).SetString(
@@ -97,16 +112,20 @@ const HashLen = 64
 // Output is statistically close to uniform over the subgroup.  It
 // panics if uniform is not exactly HashLen bytes (caller bug).
 //
-// Cost: five field exponentiations (the Legendre symbol, the square
-// root and three inversions), 23 µs in all, nothing allocated.
+// Cost: one field exponentiation (the shared square-root candidate of
+// both Elligator branches) and no inversion, 6 µs in all, nothing
+// allocated.
 func MapToPoint(uniform []byte) Point {
 	if len(uniform) != HashLen {
 		panic(fmt.Sprintf("ec25519: MapToPoint needs %d bytes, got %d", HashLen, len(uniform)))
 	}
 	r := feFromUniform(uniform)
 	ed := elligator2(&r)
-	mulByCofactor(&ed, &ed)
-	return ed
+	var ed8 compPoint
+	ed8.mulByCofactor(&ed)
+	var out Point
+	out.fromComp(&ed8)
+	return out
 }
 
 // feFromUniform reduces the 512-bit big-endian integer in uniform
@@ -139,61 +158,68 @@ func feFromBE256(be []byte) fe {
 // handful of exceptional inputs (v = 0 or u = -1, whose images are
 // pure torsion) collapse to the identity; they are hit with
 // probability ~2^-253.
-func elligator2(r *fe) Point {
-	// d0 = -A / (1 + 2r²); inv(0) = 0 handles 1 + 2r² = 0.
-	var rr2, den, d0, negA fe
+//
+// u stays a fraction N/D throughout, so nothing is inverted, and one
+// square-root candidate serves both branches: u₁ = -A/(1 + 2r²) has
+// g(u₁) = N(N² + A·N·D + D²)/D³, and when that is no square the map
+// takes u₂ = -A - u₁ = 2r²·u₁, whose g(u₂) = 2r²·g(u₁) has the root
+// r·cand·√(2/±√-1) (feSqrtRatioCandidate).
+func elligator2(r *fe) projPoint {
+	var rr2, n, d fe
 	feSquare(&rr2, r)
 	feAdd(&rr2, &rr2, &rr2)
-	feAdd(&den, &rr2, &feOne)
-	feInvert(&den, &den)
-	feNeg(&negA, &montAConst)
-	feMul(&d0, &negA, &den)
+	n = negAConst
+	feAdd(&d, &rr2, &feOne)
 
-	// u = d0 if g(d0) is square, else -d0 - A (Elligator2 guarantees
-	// exactly one branch yields a square).
-	var gd, chi, u fe
-	montRHS(&gd, &d0)
-	feLegendre(&chi, &gd)
-	if feEqual(&chi, &feOne) || feIsZero(&gd) {
-		u = d0
-	} else {
-		feSub(&u, &negA, &d0)
-	}
+	var nn, dd, nd, num, den fe
+	feSquare(&nn, &n)
+	feSquare(&dd, &d)
+	feMul(&nd, &n, &d)
+	feMul(&num, &montAConst, &nd)
+	feAdd(&num, &num, &nn)
+	feAdd(&num, &num, &dd)
+	feMul(&num, &num, &n) // N(N² + A·N·D + D²)
+	feMul(&den, &dd, &d)  // D³
 
-	var gu, v fe
-	montRHS(&gu, &u)
-	if !feSqrtRatio(&v, &gu, &feOne) {
-		panic("ec25519: elligator2 branch selection failed")
+	var v, check, negNum, iNum, negINum fe
+	feSqrtRatioCandidate(&v, &check, &num, &den)
+	feNeg(&negNum, &num)
+	feMul(&iNum, &num, &sqrtM1Const)
+	feNeg(&negINum, &iNum)
+	switch {
+	case feEqual(&check, &num):
+		// u = u₁ and v is a root of g(u₁) (also when g(u₁) = 0).
+	case feEqual(&check, &negNum):
+		feMul(&v, &v, &sqrtM1Const)
+	case feEqual(&check, &iNum):
+		feMul(&n, &n, &rr2) // u = u₂
+		feMul(&v, &v, r)
+		feMul(&v, &v, &sqrtTwoOverIConst)
+	case feEqual(&check, &negINum):
+		feMul(&n, &n, &rr2)
+		feMul(&v, &v, r)
+		feMul(&v, &v, &sqrtTwoOverNegIConst)
+	default:
+		return identity.projPoint // 1 + 2r² = 0
 	}
-	// v is the non-negative root — the deterministic sign choice.
+	// The non-negative root — the deterministic sign choice.
+	feAbs(&v, &v)
 
 	// Exceptional points of the birational map.
-	var uPlus1 fe
-	feAdd(&uPlus1, &u, &feOne)
-	if feIsZero(&v) || feIsZero(&uPlus1) {
-		return identity
+	var nPlusD, nMinusD fe
+	feAdd(&nPlusD, &n, &d)
+	if feIsZero(&v) || feIsZero(&nPlusD) {
+		return identity.projPoint
 	}
 
-	var x, y, inv fe
-	feInvert(&inv, &v)
-	feMul(&x, &sqrtNegAPlus2Const, &u)
-	feMul(&x, &x, &inv)
-	feInvert(&inv, &uPlus1)
-	feSub(&y, &u, &feOne)
-	feMul(&y, &y, &inv)
-
-	pt := Point{x: x, y: y, z: feOne}
-	feMul(&pt.t, &x, &y)
-	return pt
-}
-
-// montRHS sets g = u³ + A·u² + u, the right-hand side of the
-// Montgomery curve equation.
-func montRHS(g, u *fe) {
-	var u2, u3, au2 fe
-	feSquare(&u2, u)
-	feMul(&u3, &u2, u)
-	feMul(&au2, &montAConst, &u2)
-	feAdd(g, &u3, &au2)
-	feAdd(g, g, u)
+	// x = √-(A+2)·N/(D·v) and y = (N-D)/(N+D) over Z = D·v·(N+D).
+	var ed projPoint
+	var dv fe
+	feSub(&nMinusD, &n, &d)
+	feMul(&dv, &d, &v)
+	feMul(&ed.x, &sqrtNegAPlus2Const, &n)
+	feMul(&ed.x, &ed.x, &nPlusD)
+	feMul(&ed.y, &nMinusD, &dv)
+	feMul(&ed.z, &dv, &nPlusD)
+	return ed
 }

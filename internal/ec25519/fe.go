@@ -197,11 +197,10 @@ func feSquare(v, a *fe) {
 
 // fePow sets v = a^e, with the exponent given as big-endian bytes.
 // Plain MSB-first square-and-multiply: on the near-all-ones exponents
-// this field needs (p-2, (p-5)/8, (p-1)/2) it costs ≈254 squarings plus
-// ≈250 multiplications, 10.9 µs against the chain's 4.3 µs, and every
-// hash-to-element pays five exponentiations — so nothing per-element
-// calls it.  It remains for init's one-off √-1 constant and as the
-// differential oracle the tests hold the chain against.
+// this field needs (p-2, (p-5)/8) it costs ≈254 squarings plus ≈250
+// multiplications, 10.9 µs against the chain's 4.3 µs — so nothing
+// per-element calls it.  It remains for init's one-off √-1 constant
+// and as the differential oracle the tests hold the chain against.
 func fePow(v, a *fe, exp []byte) {
 	base := *a // allow v == a aliasing
 	out := feOne
@@ -226,12 +225,11 @@ func feSquareN(v, a *fe, n int) {
 
 // fePowChain is the addition chain every exponentiation in the package
 // shares: it returns t250 = z^(2^250-1) and z11 = z^11 in 249 squarings
-// and 10 multiplications.  The three exponents the package needs are
+// and 10 multiplications.  The two exponents the package needs are
 // short tails on t250:
 //
 //	p-2     = 2^255-21 = (2^250-1)·2^5 + 11   feInvert
 //	(p-5)/8 = 2^252-3  = (2^250-1)·2^2 + 1    fePow2523
-//	(p-1)/2 = 2^254-10 = (2^252-3)·2^2 + 2    feLegendre
 //
 // The operation sequence is fixed — it does not depend on z.
 func fePowChain(z *fe) (t250, z11 fe) {
@@ -275,16 +273,6 @@ func fePow2523(v, a *fe) {
 	t, _ := fePowChain(a)
 	feSquareN(&t, &t, 2)
 	feMul(v, &t, a)
-}
-
-// feLegendre sets v = a^((p-1)/2): 1 for a non-zero square, -1 for a
-// non-square, 0 for zero.  v may alias a.
-func feLegendre(v, a *fe) {
-	var t, aa fe
-	fePow2523(&t, a)
-	feSquareN(&t, &t, 2)
-	feSquare(&aa, a)
-	feMul(v, &t, &aa)
 }
 
 // feFromBytes loads a 32-byte little-endian encoding, ignoring the
@@ -355,6 +343,16 @@ func feIsNegative(a *fe) bool {
 	var ab [32]byte
 	a.toBytes(&ab)
 	return ab[0]&1 == 1
+}
+
+// feSelect sets v = a when mask is all ones and leaves v alone when
+// mask is zero, without branching on mask.
+func feSelect(v, a *fe, mask uint64) {
+	v.l0 ^= mask & (v.l0 ^ a.l0)
+	v.l1 ^= mask & (v.l1 ^ a.l1)
+	v.l2 ^= mask & (v.l2 ^ a.l2)
+	v.l3 ^= mask & (v.l3 ^ a.l3)
+	v.l4 ^= mask & (v.l4 ^ a.l4)
 }
 
 // feAbs sets v to a if a is non-negative, else to -a.

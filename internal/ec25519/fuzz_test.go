@@ -134,3 +134,47 @@ func FuzzFeInvert(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMapToPoint holds the one-exponentiation map against the
+// five-exponentiation oracle on arbitrary inputs, seeded with the
+// differential test's r = 0 … 5 and the golden inputs.
+func FuzzMapToPoint(f *testing.F) {
+	for r := byte(0); r <= 5; r++ {
+		uniform := make([]byte, HashLen)
+		uniform[HashLen-1] = r
+		f.Add(uniform)
+	}
+	for _, g := range goldenMap {
+		f.Add(unhex(f, g.uniform))
+	}
+	f.Fuzz(func(t *testing.T, uniform []byte) {
+		if len(uniform) != HashLen {
+			t.Skip()
+		}
+		samePoint(t, "MapToPoint", MapToPoint(uniform), refMapToPoint(uniform))
+	})
+}
+
+// FuzzScalarMult holds the signed-window ladder against the
+// unsigned-window oracle on every decodable point — torsion included —
+// and every 32-byte scalar, seeded with the differential test's edge
+// scalars and the golden pairs.
+func FuzzScalarMult(f *testing.F) {
+	for _, e := range diffScalars() {
+		f.Add(basePointEncoding(), e[:])
+	}
+	for _, g := range goldenScalarMult {
+		f.Add(unhex(f, g.point), unhex(f, g.scalar))
+	}
+	f.Fuzz(func(t *testing.T, point, scalar []byte) {
+		if len(scalar) != 32 {
+			t.Skip()
+		}
+		p, err := Decode(point)
+		if err != nil {
+			t.Skip()
+		}
+		e := [32]byte(scalar)
+		samePoint(t, "ScalarMult", p.ScalarMult(&e), refScalarMult(p, &e))
+	})
+}

@@ -129,7 +129,10 @@ type Backend interface {
 	InvertScalar(e *Scalar) (*Scalar, error)
 	// Apply computes f_e(x): a modular exponentiation for QR(p), a
 	// scalar multiplication for an elliptic-curve backend.  Its cost is
-	// the paper's C_e.  x must satisfy Contains.
+	// the paper's C_e.  x must satisfy Contains: for any other x, Apply
+	// returns no element and an error wrapping ErrNotInGroup — the only
+	// membership test package core gives a received vector it encrypts
+	// in full (TestApplyRejectsWhatContainsRejects).
 	Apply(e *Scalar, x *big.Int) (*big.Int, error)
 }
 

@@ -1,9 +1,14 @@
 package group
 
 import (
+	"bytes"
 	"crypto/sha512"
+	"errors"
+	"fmt"
 	"math/big"
 	"testing"
+
+	"minshare/internal/ec25519"
 )
 
 // ecFixture is the group-level golden pair, recorded from the generic
@@ -48,15 +53,19 @@ func TestECGoldenMapToElementApply(t *testing.T) {
 	}
 }
 
-// TestECContainsRejections: every membership check survives the
-// value-typed decode path — range, canonical y, on-curve, -0, and the
-// small-order points — in Contains and in Apply alike.
-func TestECContainsRejections(t *testing.T) {
-	g := EC25519()
-	e, err := g.ScalarFromBig(big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+// nonMember is one input Backend.Contains must reject.
+type nonMember struct {
+	name string
+	x    *big.Int
+}
+
+// ecNonMembers lists every way a container can fail to be an element of
+// the curve backend: no container at all, out of range, a non-canonical
+// y, a y on no curve point, the non-canonical x = -0, and each of the
+// eight points of the torsion subgroup (found as ℓ·P over points decoded
+// from small y, which carry a random torsion component).
+func ecNonMembers(t *testing.T) []nonMember {
+	t.Helper()
 	// container of the encoding whose y is the given integer, with the
 	// x sign bit as given.
 	enc := func(y *big.Int, sign bool) *big.Int {
@@ -71,34 +80,95 @@ func TestECContainsRejections(t *testing.T) {
 		return new(big.Int).SetBytes(le[:])
 	}
 	p := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
-	var offCurve *big.Int
-	for y := int64(2); y < 40 && offCurve == nil; y++ {
-		if c := enc(big.NewInt(y), false); !g.Contains(c) {
-			offCurve = c
-		}
-	}
-	if offCurve == nil {
-		t.Fatalf("no small off-curve y found")
-	}
-	for _, c := range []struct {
-		name string
-		x    *big.Int
-	}{
+	out := []nonMember{
 		{"nil", nil},
 		{"negative", big.NewInt(-1)},
 		{"257 bits", new(big.Int).Lsh(big.NewInt(1), 256)},
-		{"identity, y=1 (small order)", enc(big.NewInt(1), false)},
-		{"order-2 point, y=-1 (small order)", enc(new(big.Int).Sub(p, big.NewInt(1)), false)},
-		{"order-4 point, y=0 (small order)", enc(big.NewInt(0), false)},
 		{"y = p (non-canonical)", enc(p, false)},
 		{"y=1 with x = -0 (non-canonical)", enc(big.NewInt(1), true)},
-		{"off curve", offCurve},
-	} {
-		if g.Contains(c.x) {
-			t.Errorf("Contains accepted %s", c.name)
+	}
+
+	var l [32]byte
+	ec25519.Order().FillBytes(l[:])
+	torsion := map[string]bool{}
+	offCurve := false
+	for y := int64(2); y < 200 && (len(torsion) < 8 || !offCurve); y++ {
+		for _, sign := range []bool{false, true} {
+			c := enc(big.NewInt(y), sign)
+			var buf [ec25519.EncodedLen]byte
+			c.FillBytes(buf[:])
+			pt, err := ec25519.Decode(buf[:])
+			if err != nil {
+				if !offCurve {
+					offCurve = true
+					out = append(out, nonMember{"off curve", c})
+				}
+				continue
+			}
+			tp := pt.ScalarMult(&l)
+			if !tp.IsSmallOrder() {
+				t.Fatalf("ℓ·P is not a torsion point for y = %d", y)
+			}
+			if key := string(tp.Encode(nil)); !torsion[key] {
+				torsion[key] = true
+				out = append(out, nonMember{fmt.Sprintf("torsion point %x", key), new(big.Int).SetBytes([]byte(key))})
+			}
 		}
-		if _, err := g.Apply(e, c.x); err == nil {
-			t.Errorf("Apply accepted %s", c.name)
+	}
+	if len(torsion) != 8 || !offCurve {
+		t.Fatalf("found %d torsion points (want 8), off-curve y found: %v", len(torsion), offCurve)
+	}
+	return out
+}
+
+// qrNonMembers lists the ways an integer can fail to be an element of
+// QR(p): no integer, outside [1, p-1], or a non-residue.
+func qrNonMembers(g *Group) []nonMember {
+	p := g.P()
+	out := []nonMember{
+		{"nil", nil},
+		{"negative", big.NewInt(-4)},
+		{"0", big.NewInt(0)},
+		{"p", p},
+		{"p + 4", new(big.Int).Add(p, big.NewInt(4))},
+		{"p - 1 (non-residue)", new(big.Int).Sub(p, big.NewInt(1))},
+	}
+	for x := int64(2); len(out) < 10; x++ {
+		if c := big.NewInt(x); big.Jacobi(c, p) == -1 {
+			out = append(out, nonMember{fmt.Sprintf("non-residue %d", x), c})
+		}
+	}
+	return out
+}
+
+// TestApplyRejectsWhatContainsRejects is the Backend contract package
+// core leans on when it leaves a received vector's membership test to
+// the encryption that consumes it: on every input Contains rejects,
+// Apply returns no element and an error wrapping ErrNotInGroup.
+func TestApplyRejectsWhatContainsRejects(t *testing.T) {
+	for _, c := range []struct {
+		b   Backend
+		bad []nonMember
+	}{
+		{EC25519(), ecNonMembers(t)},
+		{TestGroup(), qrNonMembers(TestGroup())},
+	} {
+		e, err := c.b.ScalarFromBig(big.NewInt(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.bad {
+			if c.b.Contains(m.x) {
+				t.Errorf("%s: Contains accepted %s", c.b.Name(), m.name)
+			}
+			if y, err := c.b.Apply(e, m.x); y != nil || !errors.Is(err, ErrNotInGroup) {
+				t.Errorf("%s: Apply(%s) = %v, %v; want nil and ErrNotInGroup", c.b.Name(), m.name, y, err)
+			}
+		}
+		// ... and only that.
+		member := c.b.MapToElement(bytes.Repeat([]byte{0x42}, c.b.HashInputLen()))
+		if _, err := c.b.Apply(e, member); err != nil || !c.b.Contains(member) {
+			t.Errorf("%s: a mapped element is rejected (Apply: %v)", c.b.Name(), err)
 		}
 	}
 }

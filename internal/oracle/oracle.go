@@ -87,20 +87,25 @@ func (o *Oracle) Hash(v []byte) *big.Int {
 	if o.counters != nil {
 		o.counters.AddOracleHashes(1)
 	}
-	outLen := o.b.HashInputLen()
-	buf := make([]byte, 0, outLen+sha256.Size)
-	var ctr uint32
-	for len(buf) < outLen {
-		h := sha256.New()
-		h.Write(o.domainSep)
-		var ctrBytes [4]byte
-		binary.BigEndian.PutUint32(ctrBytes[:], ctr)
-		h.Write(ctrBytes[:])
-		h.Write(v)
-		buf = h.Sum(buf)
-		ctr++
+	return o.b.MapToElement(expand(o.domainSep, v, o.b.HashInputLen()))
+}
+
+// expand returns outLen bytes of SHA-256 in counter mode over v:
+// SHA-256(prefix ‖ ctr ‖ v) for ctr = 0, 1, … as big-endian uint32.  The
+// block input is assembled once (on the stack for short values) and
+// only its counter rewritten; the output is the one allocation.
+func expand(prefix, v []byte, outLen int) []byte {
+	var stack [128]byte
+	msg := append(stack[:0], prefix...)
+	ctrAt := len(msg)
+	msg = append(append(msg, 0, 0, 0, 0), v...)
+	out := make([]byte, 0, (outLen+sha256.Size-1)/sha256.Size*sha256.Size)
+	for ctr := uint32(0); len(out) < outLen; ctr++ {
+		binary.BigEndian.PutUint32(msg[ctrAt:], ctr)
+		block := sha256.Sum256(msg)
+		out = append(out, block[:]...)
 	}
-	return o.b.MapToElement(buf[:outLen])
+	return out[:outLen]
 }
 
 // HashRejection is the alternative hash-to-group construction the
@@ -127,23 +132,8 @@ func (o *Oracle) HashRejection(v []byte) *big.Int {
 		if o.counters != nil {
 			o.counters.AddOracleHashes(1)
 		}
-		buf := make([]byte, 0, outLen+sha256.Size)
-		var ctr uint32
-		for len(buf) < outLen {
-			h := sha256.New()
-			h.Write(o.domainSep)
-			h.Write([]byte{'R', 'J'})
-			var aBytes [4]byte
-			binary.BigEndian.PutUint32(aBytes[:], attempt)
-			h.Write(aBytes[:])
-			var ctrBytes [4]byte
-			binary.BigEndian.PutUint32(ctrBytes[:], ctr)
-			h.Write(ctrBytes[:])
-			h.Write(v)
-			buf = h.Sum(buf)
-			ctr++
-		}
-		x := new(big.Int).SetBytes(buf[:outLen])
+		prefix := binary.BigEndian.AppendUint32(append(append([]byte(nil), o.domainSep...), 'R', 'J'), attempt)
+		x := new(big.Int).SetBytes(expand(prefix, v, outLen))
 		x.Mod(x, pMinus1)
 		x.Add(x, big.NewInt(1))
 		if g.Contains(x) {
