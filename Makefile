@@ -46,8 +46,9 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzScalarMult$$' -fuzztime 5s ./internal/ec25519
 
 # Documentation lint: every exported identifier in internal/* must have
-# a doc comment (field-deep in group/ec25519/transport) and every
-# intra-repo link in the *.md files must resolve.
+# a doc comment (field-deep in group/ec25519/transport), every
+# intra-repo link in the *.md files must resolve, and every internal/*
+# package but simulate must have a non-test importer outside itself.
 docs-check:
 	$(GO) run ./cmd/docscheck
 
@@ -85,12 +86,13 @@ bench-ec-smoke:
 # package — the number behind the roadmap's "net-negative line count"
 # deliverable.  A simplification PR reports this before and after.
 loc:
-	@for d in internal/*/; do \
+	@total=0; for d in internal/*/; do \
 		files=$$(ls $$d*.go 2>/dev/null | grep -v _test.go); \
 		if [ -n "$$files" ]; then \
-			printf '%6d  %s\n' "$$(cat $$files | grep -cvE '^\s*(//.*)?$$')" "$${d%/}"; \
+			n=$$(cat $$files | grep -cvE '^\s*(//.*)?$$'); total=$$((total + n)); \
+			printf '%6d  %s\n' "$$n" "$${d%/}"; \
 		fi; \
-	done
+	done; printf '%6d  total\n' "$$total"
 
 check: build vet test race race-faults fuzz-smoke lint bench-ec-smoke
 

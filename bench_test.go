@@ -14,7 +14,6 @@ import (
 	"sort"
 	"testing"
 
-	"minshare/internal/aggregate"
 	"minshare/internal/circuit"
 	"minshare/internal/core"
 	"minshare/internal/costmodel"
@@ -26,9 +25,7 @@ import (
 	"minshare/internal/obs"
 	"minshare/internal/oracle"
 	"minshare/internal/ot"
-	"minshare/internal/query"
 	"minshare/internal/reldb"
-	"minshare/internal/selection"
 	"minshare/internal/transport"
 	"minshare/internal/yao"
 )
@@ -479,79 +476,6 @@ func BenchmarkAblation_SortThousandElements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cp := append([]*big.Int(nil), elems...)
 		sort.Slice(cp, func(a, b int) bool { return cp[a].Cmp(cp[b]) < 0 })
-	}
-}
-
-// --- Extension benches: selection, aggregation, SQL front end ---
-
-// BenchmarkExt_Selection_n16 measures one full symmetric-PIR selection
-// (the Section 2.4 / future-work operation) over 16 records.
-func BenchmarkExt_Selection_n16(b *testing.B) {
-	records := make([][]byte, 16)
-	for i := range records {
-		records[i] = []byte(fmt.Sprintf("record-%02d: some payload bytes", i))
-	}
-	cfg := selection.Config{Group: group.MustBuiltin(group.Bits256)}
-	for i := 0; i < b.N; i++ {
-		ctx := context.Background()
-		connR, connS := transport.Pipe()
-		ch := make(chan error, 1)
-		go func() { ch <- selection.Sender(ctx, cfg, connS, records) }()
-		if _, err := selection.Receiver(ctx, cfg, connR, i%len(records)); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-ch; err != nil {
-			b.Fatal(err)
-		}
-		connR.Close()
-	}
-}
-
-// BenchmarkExt_GroupByCounts measures the generalized Figure 2 study
-// (2 bool columns on R × 1 on S = 8 third-party intersection sizes).
-func BenchmarkExt_GroupByCounts(b *testing.B) {
-	tR := reldb.NewTable("R", reldb.MustSchema(
-		reldb.Column{Name: "id", Type: reldb.TypeInt},
-		reldb.Column{Name: "f1", Type: reldb.TypeBool},
-		reldb.Column{Name: "f2", Type: reldb.TypeBool},
-	))
-	tS := reldb.NewTable("S", reldb.MustSchema(
-		reldb.Column{Name: "id", Type: reldb.TypeInt},
-		reldb.Column{Name: "g", Type: reldb.TypeBool},
-	))
-	for i := 0; i < 40; i++ {
-		tR.MustInsert(reldb.Int(int64(i)), reldb.Bool(i%2 == 0), reldb.Bool(i%3 == 0))
-		tS.MustInsert(reldb.Int(int64(i+20)), reldb.Bool(i%2 == 1))
-	}
-	spec := aggregate.StudySpec{
-		TableR: tR, IDColR: "id", GroupByR: []string{"f1", "f2"},
-		TableS: tS, IDColS: "id", GroupByS: []string{"g"},
-	}
-	cfg := core.Config{Group: benchGroup}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := aggregate.GroupByCounts(context.Background(), cfg, cfg, cfg, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExt_SQLMedicalQuery measures the paper's SQL query end to end
-// (parse + plan + four third-party intersection sizes).
-func BenchmarkExt_SQLMedicalQuery(b *testing.B) {
-	tR, tS := reldb.GenPeopleTables(60, 0.4, 0.6, 0.3, 3)
-	q, err := query.Parse(`select t_r.pattern, t_s.reaction, count(*)
-		from t_r, t_s where t_r.personid = t_s.personid and t_s.drug = true
-		group by t_r.pattern, t_s.reaction`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.Config{Group: benchGroup}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := query.Execute(context.Background(), cfg, cfg, cfg, q, tR, tS); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

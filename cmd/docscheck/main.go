@@ -10,7 +10,11 @@
 //     interface methods too;
 //   - every intra-repository link in the *.md files resolves, so the
 //     cross-references between README.md, DESIGN.md, EXPERIMENTS.md and
-//     bench/README.md cannot silently rot.
+//     bench/README.md cannot silently rot;
+//   - every internal/* package is imported by a non-test file outside
+//     it (internal/simulate, the test-only proof simulators, excepted),
+//     so a package no command, example or other package reaches is
+//     reported instead of kept.
 //
 // Every violation is printed with its file:line before the nonzero
 // exit — a broken file never hides the rest of the findings.  The same

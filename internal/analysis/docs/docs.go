@@ -1,11 +1,12 @@
 // Package docs implements the repo's documentation lint: every exported
 // top-level identifier in the internal/* packages must carry a doc
 // comment (with DeepDocPackages additionally checked down to exported
-// struct fields and interface methods) and every intra-repository link
-// in the *.md files must resolve.  It backs both cmd/docscheck (the
-// standalone driver) and cmd/psilint, which folds these checks into the
-// same exit-code contract as the protocol-safety analyzers so `make
-// check` surfaces doc and lint findings in one pass.
+// struct fields and interface methods), every intra-repository link in
+// the *.md files must resolve, and every internal/* package must be
+// imported by some non-test file outside it.  It backs both
+// cmd/docscheck (the standalone driver) and cmd/psilint, which folds
+// these checks into the same exit-code contract as the protocol-safety
+// analyzers so `make check` surfaces doc and lint findings in one pass.
 //
 // Every violation is reported, each addressed as "file:line: message";
 // a file that fails to parse is itself reported as a violation at its
@@ -23,12 +24,16 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+
+	"minshare/internal/analysis"
 )
 
-// CheckAll runs both documentation checks under root and returns every
-// violation.  The error return is reserved for environmental failures
-// (an unreadable tree); per-file problems are violations, not errors.
+// CheckAll runs the documentation checks and the orphan-package rule
+// under root and returns every violation.  The error return is reserved
+// for environmental failures (an unreadable tree); per-file problems are
+// violations, not errors.
 func CheckAll(root string) ([]string, error) {
 	problems, err := CheckGoDocs(filepath.Join(root, "internal"))
 	if err != nil {
@@ -38,7 +43,73 @@ func CheckAll(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(problems, more...), nil
+	orphans, err := checkOrphans(root)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(problems, more...), orphans...), nil
+}
+
+// orphanExempt names the internal/ packages allowed to have no non-test
+// importer.  simulate holds the executable Statement 2/4/6 simulators
+// of the paper's proofs: they are driven only by tests, by design, and
+// the per-mode simulators still to come build on them.
+var orphanExempt = map[string]bool{"simulate": true}
+
+// checkOrphans reports every directory under root/internal that holds
+// non-test Go files but is imported by no non-test Go file outside
+// itself (testdata and hidden directories are neither packages nor
+// importers).  A package nothing but its own tests reaches is code the
+// system does not need.
+func checkOrphans(root string) ([]string, error) {
+	mod, err := analysis.NewLoader().AddModuleFromGoMod(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	pkgFile := map[string]string{} // internal package dir → its first file
+	imported := map[string]bool{}  // import paths with a non-test importer outside them
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		dir = filepath.ToSlash(dir)
+		if _, ok := pkgFile[dir]; !ok && strings.HasPrefix(dir, "internal/") {
+			pkgFile[dir] = path
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if perr != nil {
+			return nil // a syntax error is CheckGoDocs' or the compiler's finding
+		}
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if ip != mod+"/"+dir {
+				imported[ip] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for dir, file := range pkgFile {
+		if !imported[mod+"/"+dir] && !orphanExempt[strings.TrimPrefix(dir, "internal/")] {
+			problems = append(problems, fmt.Sprintf("%s:1: package %s has no non-test importer outside itself", file, dir))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
 }
 
 // DeepDocPackages names the packages (directories under internal/)

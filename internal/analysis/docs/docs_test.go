@@ -72,3 +72,33 @@ type Config struct {
 		}
 	}
 }
+
+func TestOrphanPackagesReported(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module fixture\n\ngo 1.22\n")
+	write(t, root, "cmd/tool/main.go", "package main\n\nimport _ \"fixture/internal/used\"\n\nfunc main() {}\n")
+	write(t, root, "internal/used/used.go", "package used\n")
+	// orphan is reached only by its own tests and by another package's
+	// tests; neither counts.  testdata is not a package.
+	write(t, root, "internal/orphan/orphan.go", "package orphan\n")
+	write(t, root, "internal/orphan/orphan_test.go", "package orphan\n\nimport _ \"fixture/internal/orphan\"\n")
+	write(t, root, "internal/used/used_test.go", "package used\n\nimport _ \"fixture/internal/orphan\"\n")
+	write(t, root, "internal/used/testdata/x.go", "package x\n\nimport _ \"fixture/internal/orphan\"\n")
+	// self imports the package it lives in, which does not count either.
+	write(t, root, "internal/self/self.go", "package self\n\nimport _ \"fixture/internal/self\"\n")
+	// simulate is exempt by name.
+	write(t, root, "internal/simulate/simulate.go", "package simulate\n")
+	problems, err := checkOrphans(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/orphan", "internal/self"}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want orphans %q", problems, want)
+	}
+	for i, dir := range want {
+		if !strings.Contains(problems[i], "package "+dir+" has no non-test importer") {
+			t.Errorf("problem[%d] = %q, want orphan %s", i, problems[i], dir)
+		}
+	}
+}

@@ -113,8 +113,8 @@ const HashLen = 64
 // panics if uniform is not exactly HashLen bytes (caller bug).
 //
 // Cost: one field exponentiation (the shared square-root candidate of
-// both Elligator branches) and no inversion, 6 µs in all, nothing
-// allocated.
+// both Elligator branches, 251 squarings and 11 multiplications), no
+// inversion, and nothing allocated.
 func MapToPoint(uniform []byte) Point {
 	if len(uniform) != HashLen {
 		panic(fmt.Sprintf("ec25519: MapToPoint needs %d bytes, got %d", HashLen, len(uniform)))

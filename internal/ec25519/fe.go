@@ -198,7 +198,7 @@ func feSquare(v, a *fe) {
 // fePow sets v = a^e, with the exponent given as big-endian bytes.
 // Plain MSB-first square-and-multiply: on the near-all-ones exponents
 // this field needs (p-2, (p-5)/8) it costs ≈254 squarings plus ≈250
-// multiplications, 10.9 µs against the chain's 4.3 µs — so nothing
+// multiplications against the chain's 254 and 11 — so nothing
 // per-element calls it.  It remains for init's one-off √-1 constant
 // and as the differential oracle the tests hold the chain against.
 func fePow(v, a *fe, exp []byte) {
@@ -260,7 +260,7 @@ func fePowChain(z *fe) (t250, z11 fe) {
 
 // feInvert sets v = a^{-1} = a^{p-2}; inversion of zero yields zero,
 // which the exceptional-case handling in the Elligator map relies on.
-// 254 squarings and 11 multiplications (4.3 µs); v may alias a.
+// 254 squarings and 11 multiplications; v may alias a.
 func feInvert(v, a *fe) {
 	t, a11 := fePowChain(a)
 	feSquareN(&t, &t, 5)
@@ -268,7 +268,8 @@ func feInvert(v, a *fe) {
 }
 
 // fePow2523 sets v = a^((p-5)/8), the exponent of the p ≡ 5 (mod 8)
-// square-root shortcut.  v may alias a.
+// square-root shortcut: 251 squarings and 11 multiplications.  v may
+// alias a.
 func fePow2523(v, a *fe) {
 	t, _ := fePowChain(a)
 	feSquareN(&t, &t, 2)

@@ -216,7 +216,7 @@ func (p Point) IsIdentity() bool {
 // seven low-order points).  Such encodings are rejected as protocol
 // elements: they are not outputs of the hash-to-curve map and a
 // torsion component would make f_e lose information.  Three T-free
-// doublings and a projective comparison, 0.6 µs.
+// doublings and a projective comparison.
 func (p Point) IsSmallOrder() bool {
 	var p8 compPoint
 	var q projPoint
@@ -233,7 +233,7 @@ func (p Point) IsSmallOrder() bool {
 // digit adds the identity), and the table entry is picked by choose.
 // The sequence of field operations and of memory accesses is the same
 // for every scalar.  One call is the EC backend's C_e operation: 7 + 65
-// additions and 256 doublings, 70 µs, no field exponentiation and no
+// additions and 256 doublings, no field exponentiation and no
 // allocation.
 func (p Point) ScalarMult(e *[32]byte) Point {
 	var table [8]cachedPoint
@@ -283,9 +283,9 @@ func (p Point) ScalarMult(e *[32]byte) Point {
 
 // Encode appends the canonical 32-byte compressed encoding of p to
 // dst: the little-endian bytes of y with the sign of x in the top bit.
-// Normalising Z costs one field inversion (≈5 µs with the two
-// multiplications); with a dst of capacity EncodedLen nothing is
-// allocated.
+// Normalising Z costs one field inversion (254 squarings and 11
+// multiplications) and two multiplications; with a dst of capacity
+// EncodedLen nothing is allocated.
 func (p Point) Encode(dst []byte) []byte {
 	var zInv, x, y fe
 	feInvert(&zInv, &p.z)
@@ -305,7 +305,7 @@ func (p Point) Encode(dst []byte) []byte {
 // the non-canonical "negative zero" x.  It does NOT reject low-order
 // points; callers that need subgroup membership combine Decode with
 // IsSmallOrder.  Recovering x costs one field exponentiation (the
-// square root, ≈5 µs in all).
+// square root: 251 squarings and 11 multiplications).
 func Decode(b []byte) (Point, error) {
 	if len(b) != EncodedLen {
 		return Point{}, fmt.Errorf("ec25519: point encoding must be %d bytes, got %d", EncodedLen, len(b))

@@ -73,6 +73,10 @@ func (c Code) String() string {
 // immutable after creation; they must never be shared across backends.
 type Scalar struct {
 	v *big.Int
+	// rep is the multiplier the EC backend's Apply reads: the 32
+	// big-endian bytes of e's torsion-killing representative (see
+	// newECScalar).  Unused by the QR backend.
+	rep [32]byte
 }
 
 // newScalar wraps a value the backend has already validated.

@@ -73,10 +73,14 @@ func (*ECGroup) ParamDigest() [32]byte {
 }
 
 // Contains reports whether x is the container of a canonical point
-// encoding in the prime-order subgroup's usable element set: it must
-// decode (canonical y, on curve, canonical x sign) and must not be one
-// of the eight small-torsion points.  This is the EC analogue of the
-// safe-prime backend's Jacobi-symbol membership test.
+// encoding that is not one of the eight small-torsion points: it must
+// decode (canonical y, on curve, canonical x sign) and its order must
+// not divide the cofactor.  That admits every point of the full curve
+// group of order 8ℓ outside the torsion subgroup, mixed-order points
+// P+T included — it is not a prime-order-subgroup test.  The key, not
+// this check, removes the torsion component: Apply multiplies by a
+// representative of e that is a multiple of 8 (newECScalar), so
+// f_e(P+T) = f_e(P) and the output carries nothing of e mod 8.
 func (*ECGroup) Contains(x *big.Int) bool {
 	_, err := ecDecode(x)
 	return err == nil
@@ -115,9 +119,8 @@ func (*ECGroup) HashInputLen() int { return ec25519.HashLen }
 
 // MapToElement maps uniform bytes into the subgroup via Elligator2
 // plus cofactor clearing — the EC half of the §3.2.2 random oracle.
-// 10.5 µs (two field exponentiations: the map's square root and the
-// encoding's inversion); the returned container is the only thing
-// allocated.
+// Two field exponentiations (the map's square root and the encoding's
+// inversion); the returned container is the only thing allocated.
 func (*ECGroup) MapToElement(uniform []byte) *big.Int {
 	return ecEncode(ec25519.MapToPoint(uniform))
 }
@@ -133,7 +136,7 @@ func (*ECGroup) RandomScalar(r io.Reader) (*Scalar, error) {
 		return nil, fmt.Errorf("group: sampling ec scalar: %w", err)
 	}
 	e.Add(e, big.NewInt(1)) // uniform in [1, ℓ-1]
-	return newScalar(e), nil
+	return newECScalar(e), nil
 }
 
 // ScalarFromBig validates e ∈ [1, ℓ-1] and wraps it as a key scalar.
@@ -141,7 +144,7 @@ func (*ECGroup) ScalarFromBig(e *big.Int) (*Scalar, error) {
 	if e == nil || e.Sign() <= 0 || e.Cmp(ecScalarModulus) >= 0 {
 		return nil, ErrBadScalar
 	}
-	return newScalar(new(big.Int).Set(e)), nil
+	return newECScalar(new(big.Int).Set(e)), nil
 }
 
 // InvertScalar returns e' = e^{-1} mod ℓ, so that
@@ -151,19 +154,35 @@ func (*ECGroup) InvertScalar(e *Scalar) (*Scalar, error) {
 	if inv == nil {
 		return nil, fmt.Errorf("group: ec scalar not invertible modulo subgroup order")
 	}
-	return newScalar(inv), nil
+	return newECScalar(inv), nil
 }
 
-// Apply computes f_e(x) = e·x — one scalar multiplication, the EC
-// backend's C_e operation: 80 µs, of which 70 µs is the ladder and the
-// rest decoding, the membership checks and re-encoding.  The returned
-// container is the only thing allocated (TestECAllocBudget).
+// ecInv8 is 8⁻¹ mod ℓ.
+var ecInv8 = new(big.Int).ModInverse(big.NewInt(8), ecScalarModulus)
+
+// newECScalar wraps e ∈ [1, ℓ-1] together with the bytes Apply
+// multiplies by: r = 8·(e·8⁻¹ mod ℓ), the representative in [0, 8ℓ)
+// with r ≡ e (mod ℓ) and r ≡ 0 (mod 8).  On the prime-order subgroup r
+// acts exactly as e; on a mixed-order point P+T it sends the torsion
+// part T to the identity, so f_e(P+T) = e·P and no bit of e mod 8
+// reaches the output.  Scalar.Big still returns e.
+func newECScalar(e *big.Int) *Scalar {
+	s := newScalar(e)
+	r := new(big.Int).Mul(e, ecInv8)
+	r.Mod(r, ecScalarModulus).Lsh(r, 3)
+	r.FillBytes(s.rep[:])
+	return s
+}
+
+// Apply computes f_e(x) = r·x with r e's torsion-killing
+// representative (newECScalar) — one scalar multiplication, the EC
+// backend's C_e operation: the ladder plus one point decode (a square
+// root), the small-order test and one encode (an inversion).  The
+// returned container is the only thing allocated (TestECAllocBudget).
 func (*ECGroup) Apply(e *Scalar, x *big.Int) (*big.Int, error) {
 	p, err := ecDecode(x)
 	if err != nil {
 		return nil, err
 	}
-	var eb [32]byte
-	e.value().FillBytes(eb[:])
-	return ecEncode(p.ScalarMult(&eb)), nil
+	return ecEncode(p.ScalarMult(&e.rep)), nil
 }

@@ -59,49 +59,37 @@ type nonMember struct {
 	x    *big.Int
 }
 
-// ecNonMembers lists every way a container can fail to be an element of
-// the curve backend: no container at all, out of range, a non-canonical
-// y, a y on no curve point, the non-canonical x = -0, and each of the
-// eight points of the torsion subgroup (found as ℓ·P over points decoded
-// from small y, which carry a random torsion component).
-func ecNonMembers(t *testing.T) []nonMember {
-	t.Helper()
-	// container of the encoding whose y is the given integer, with the
-	// x sign bit as given.
-	enc := func(y *big.Int, sign bool) *big.Int {
-		var le [32]byte
-		y.FillBytes(le[:])
-		for i, j := 0, 31; i < j; i, j = i+1, j-1 {
-			le[i], le[j] = le[j], le[i]
-		}
-		if sign {
-			le[31] |= 0x80
-		}
-		return new(big.Int).SetBytes(le[:])
+// ecEnc is the container of the encoding whose y is the given integer,
+// with the x sign bit as given.
+func ecEnc(y *big.Int, sign bool) *big.Int {
+	var le [32]byte
+	y.FillBytes(le[:])
+	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
+		le[i], le[j] = le[j], le[i]
 	}
-	p := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
-	out := []nonMember{
-		{"nil", nil},
-		{"negative", big.NewInt(-1)},
-		{"257 bits", new(big.Int).Lsh(big.NewInt(1), 256)},
-		{"y = p (non-canonical)", enc(p, false)},
-		{"y=1 with x = -0 (non-canonical)", enc(big.NewInt(1), true)},
+	if sign {
+		le[31] |= 0x80
 	}
+	return new(big.Int).SetBytes(le[:])
+}
 
+// ecTorsion returns the eight points of the torsion subgroup, found as
+// ℓ·P over points decoded from small y (which carry a random torsion
+// component), and the container of a small y on no curve point.
+func ecTorsion(t *testing.T) (torsion []ec25519.Point, offCurve *big.Int) {
+	t.Helper()
 	var l [32]byte
 	ec25519.Order().FillBytes(l[:])
-	torsion := map[string]bool{}
-	offCurve := false
-	for y := int64(2); y < 200 && (len(torsion) < 8 || !offCurve); y++ {
+	seen := map[string]bool{}
+	for y := int64(2); y < 200 && (len(torsion) < 8 || offCurve == nil); y++ {
 		for _, sign := range []bool{false, true} {
-			c := enc(big.NewInt(y), sign)
+			c := ecEnc(big.NewInt(y), sign)
 			var buf [ec25519.EncodedLen]byte
 			c.FillBytes(buf[:])
 			pt, err := ec25519.Decode(buf[:])
 			if err != nil {
-				if !offCurve {
-					offCurve = true
-					out = append(out, nonMember{"off curve", c})
+				if offCurve == nil {
+					offCurve = c
 				}
 				continue
 			}
@@ -109,14 +97,36 @@ func ecNonMembers(t *testing.T) []nonMember {
 			if !tp.IsSmallOrder() {
 				t.Fatalf("ℓ·P is not a torsion point for y = %d", y)
 			}
-			if key := string(tp.Encode(nil)); !torsion[key] {
-				torsion[key] = true
-				out = append(out, nonMember{fmt.Sprintf("torsion point %x", key), new(big.Int).SetBytes([]byte(key))})
+			if key := string(tp.Encode(nil)); !seen[key] {
+				seen[key] = true
+				torsion = append(torsion, tp)
 			}
 		}
 	}
-	if len(torsion) != 8 || !offCurve {
-		t.Fatalf("found %d torsion points (want 8), off-curve y found: %v", len(torsion), offCurve)
+	if len(torsion) != 8 || offCurve == nil {
+		t.Fatalf("found %d torsion points (want 8), off-curve y found: %v", len(torsion), offCurve != nil)
+	}
+	return torsion, offCurve
+}
+
+// ecNonMembers lists every way a container can fail to be an element of
+// the curve backend: no container at all, out of range, a non-canonical
+// y, a y on no curve point, the non-canonical x = -0, and each of the
+// eight points of the torsion subgroup.
+func ecNonMembers(t *testing.T) []nonMember {
+	t.Helper()
+	p := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
+	torsion, offCurve := ecTorsion(t)
+	out := []nonMember{
+		{"nil", nil},
+		{"negative", big.NewInt(-1)},
+		{"257 bits", new(big.Int).Lsh(big.NewInt(1), 256)},
+		{"y = p (non-canonical)", ecEnc(p, false)},
+		{"y=1 with x = -0 (non-canonical)", ecEnc(big.NewInt(1), true)},
+		{"off curve", offCurve},
+	}
+	for _, tp := range torsion {
+		out = append(out, nonMember{fmt.Sprintf("torsion point %x", tp.Encode(nil)), ecEncode(tp)})
 	}
 	return out
 }
@@ -169,6 +179,84 @@ func TestApplyRejectsWhatContainsRejects(t *testing.T) {
 		member := c.b.MapToElement(bytes.Repeat([]byte{0x42}, c.b.HashInputLen()))
 		if _, err := c.b.Apply(e, member); err != nil || !c.b.Contains(member) {
 			t.Errorf("%s: a mapped element is rejected (Apply: %v)", c.b.Name(), err)
+		}
+	}
+}
+
+// TestECApplyKillsTorsion checks that a key acts through its
+// torsion-killing representative.  Contains accepts a mixed-order point
+// P+T, so without it f_e(P+T) = e·P + e·T and a peer that sends both P
+// and P+T would read e mod 8 off the reply.  For every torsion point T,
+// several mapped P and keys of every residue mod 8: f_e(P+T) = f_e(P).
+// Inversion, commutativity (on mixed-order inputs too) and the
+// ScalarFromBig(e.Big()) round trip must hold for the keys the backend
+// builds.
+func TestECApplyKillsTorsion(t *testing.T) {
+	g := EC25519()
+	torsion, _ := ecTorsion(t)
+	var keys []*Scalar
+	for v := int64(1); v <= 8; v++ {
+		e, err := g.ScalarFromBig(big.NewInt(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, e)
+	}
+	for i := 0; i < 4; i++ {
+		e, err := g.RandomScalar(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := g.InvertScalar(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, e, inv)
+	}
+	apply := func(e *Scalar, x *big.Int) *big.Int {
+		t.Helper()
+		y, err := g.Apply(e, x)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		return y
+	}
+	for i := 0; i < 4; i++ {
+		u := sha512.Sum512([]byte(fmt.Sprintf("torsion input %d", i)))
+		x := g.MapToElement(u[:])
+		p, err := ecDecode(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, tp := range torsion {
+			mixed := ecEncode(p.Add(tp))
+			if !g.Contains(mixed) {
+				t.Fatalf("P%d+T%d: Contains rejects a mixed-order point", i, ti)
+			}
+			for ki, e := range keys {
+				want, got := apply(e, x), apply(e, mixed)
+				if got.Cmp(want) != 0 {
+					t.Errorf("P%d+T%d, key %d: f_e(P+T) = %x, want f_e(P) = %x", i, ti, ki, got, want)
+				}
+				back, err := g.ScalarFromBig(e.Big())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if apply(back, mixed).Cmp(got) != 0 {
+					t.Errorf("P%d+T%d, key %d: ScalarFromBig(e.Big()) acts differently from e", i, ti, ki)
+				}
+				inv, err := g.InvertScalar(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := apply(inv, want); got.Cmp(x) != 0 {
+					t.Errorf("P%d, key %d: f_{e⁻¹}(f_e(P)) ≠ P", i, ki)
+				}
+				other := keys[(ki+5)%len(keys)]
+				if ab, ba := apply(e, apply(other, mixed)), apply(other, apply(e, mixed)); ab.Cmp(ba) != 0 {
+					t.Errorf("P%d+T%d, keys %d, %d: f_a(f_b(x)) ≠ f_b(f_a(x))", i, ti, ki, (ki+5)%len(keys))
+				}
+			}
 		}
 	}
 }

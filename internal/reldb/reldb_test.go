@@ -338,17 +338,6 @@ func TestGenPeopleTables(t *testing.T) {
 	}
 }
 
-func TestGenKeyedTable(t *testing.T) {
-	tb := GenKeyedTable("x", 200, 50, 7)
-	if tb.NumRows() != 200 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
-	distinct, _ := tb.DistinctValues("key")
-	if len(distinct) > 50 {
-		t.Errorf("distinct keys %d > keyspace 50", len(distinct))
-	}
-}
-
 func TestGenOverlappingKeyTables(t *testing.T) {
 	tR, tS := GenOverlappingKeyTables(10, 20, 4)
 	vR, _ := tR.DistinctValues("key")

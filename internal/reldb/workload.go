@@ -1,9 +1,6 @@
 package reldb
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Workload generators for the experiment harness.  Scale-free synthetic
 // stand-ins for the paper's enterprise datasets (DESIGN.md substitution
@@ -38,23 +35,6 @@ func GenPeopleTables(n int, patternFrac, drugFrac, reactionFrac float64, seed in
 		tS.MustInsert(Int(int64(id)), Bool(drug), Bool(reaction))
 	}
 	return tR, tS
-}
-
-// GenKeyedTable builds a table with an integer key column drawn from
-// [0, keySpace) with possible duplicates, plus a payload string column —
-// generic input for join/join-size experiments.  Duplicate structure is
-// controlled by rows vs keySpace.
-func GenKeyedTable(name string, rows, keySpace int, seed int64) *Table {
-	rng := rand.New(rand.NewSource(seed))
-	t := NewTable(name, MustSchema(
-		Column{Name: "key", Type: TypeInt},
-		Column{Name: "payload", Type: TypeString},
-	))
-	for i := 0; i < rows; i++ {
-		k := rng.Intn(keySpace)
-		t.MustInsert(Int(int64(k)), String(fmt.Sprintf("%s-row-%d", name, i)))
-	}
-	return t
 }
 
 // GenOverlappingKeyTables builds two single-key-column tables whose key
